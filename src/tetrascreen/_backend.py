@@ -1,79 +1,40 @@
-"""Rational arithmetic backend selection.
+"""Rational arithmetic backend.
 
-The whole engine runs on exact rationals.  When gmpy2 is importable its
-GMP-backed ``mpq`` type is used for every rational value (several times
-faster than ``fractions.Fraction`` on the polynomial sizes that occur in
-screening runs); otherwise the stdlib ``Fraction`` is used.  Both types
-normalize eagerly (gcd 1, positive denominator), so the rest of the code
-never needs to care which one is active.
-
-Set ``TETRASCREEN_BACKEND=python`` or ``=gmp`` to force a choice.
-``benchmarks/bench_backends.py`` compares the two.
+The whole engine runs on exact rationals, the stdlib
+``fractions.Fraction``.  It normalizes eagerly (gcd 1, positive
+denominator).  ``BACKEND`` names the core for reports and benchmark
+records.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from fractions import Fraction
 
-_forced = os.environ.get("TETRASCREEN_BACKEND", "").strip().lower()
-
-if _forced not in ("", "python", "gmp"):
-    raise RuntimeError(f"TETRASCREEN_BACKEND must be 'python' or 'gmp', got {_forced!r}")
-
-_gmpy2 = None
-if _forced != "python":
-    try:
-        import gmpy2 as _gmpy2
-    except ImportError:
-        if _forced == "gmp":
-            raise
-        _gmpy2 = None
+BACKEND = "python"
+Q = Fraction
+isqrt = math.isqrt
 
 
-if _gmpy2 is not None:
-    BACKEND = "gmp"
-    Q = _gmpy2.mpq
-    _isqrt = _gmpy2.isqrt
-
-    def iroot(n: int, k: int) -> tuple[int, bool]:
-        """Floor k-th root of a nonnegative integer, plus exactness flag."""
-        r, exact = _gmpy2.iroot(_gmpy2.mpz(n), k)
-        return int(r), bool(exact)
-
-    def isqrt(n: int) -> int:
-        return int(_isqrt(n))
-
-    _RATIONAL_TYPES = (_gmpy2.mpq, _gmpy2.mpz, int)
-else:
-    from fractions import Fraction
-
-    BACKEND = "python"
-    Q = Fraction
-
-    def isqrt(n: int) -> int:
-        return math.isqrt(n)
-
-    def iroot(n: int, k: int) -> tuple[int, bool]:
-        if k == 2:
-            r = math.isqrt(n)
-            return r, r * r == n
-        if n == 0:
-            return 0, True
-        # Newton iteration on integers; converges from above.
-        r = 1 << -(-n.bit_length() // k)
-        while True:
-            t = ((k - 1) * r + n // r ** (k - 1)) // k
-            if t >= r:
-                break
-            r = t
-        return r, r ** k == n
-
-    _RATIONAL_TYPES = (Fraction, int)
+def iroot(n: int, k: int) -> tuple[int, bool]:
+    """Floor k-th root of a nonnegative integer, plus exactness flag."""
+    if k == 2:
+        r = math.isqrt(n)
+        return r, r * r == n
+    if n == 0:
+        return 0, True
+    # Newton iteration on integers; converges from above.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        t = ((k - 1) * r + n // r ** (k - 1)) // k
+        if t >= r:
+            break
+        r = t
+    return r, r ** k == n
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, _RATIONAL_TYPES)
+    return isinstance(x, (Fraction, int))
 
 
 def numden(x) -> tuple[int, int]:

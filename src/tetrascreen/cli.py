@@ -23,6 +23,17 @@ from .screen import CenterSpec, ScreenPlan, run_screen
 from .tetrahedron import EdgeLengths, TetraFamily, generate
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_catalog(path):
     cat = builtin_catalog()
     if path:
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate random rational instances of a family")
     g.add_argument("--family", required=True, choices=families)
-    g.add_argument("-n", type=int, default=10)
+    g.add_argument("-n", type=_positive_int, default=10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gen)
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of ids, ID:r for parametric (default: whole catalog)")
     s.add_argument("--properties", default="all",
                    help="comma list of property numbers 1-16 or names (default: all)")
-    s.add_argument("-n", type=int, default=20)
+    s.add_argument("-n", type=_positive_int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--precision-bits", type=int, default=1024)
     s.add_argument("--prefilter", action="store_true",
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run registered identity cases")
     v.add_argument("cases", nargs="*", default=["all"],
                    help="case ids, or 'all' (default)")
-    v.add_argument("-n", type=int, default=None,
+    v.add_argument("-n", type=_positive_int, default=None,
                    help="override instance count per case")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--catalog", default=None)
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hunt", help="falsification / counterexample searches")
     h.add_argument("claim", choices=SC.HUNT_CLAIMS)
-    h.add_argument("--budget", type=int, default=1000)
+    h.add_argument("--budget", type=_positive_int, default=1000)
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--catalog", default=None)
     h.add_argument("--out", default=None)

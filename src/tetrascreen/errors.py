@@ -138,14 +138,6 @@ class GenerationExhausted(TetraScreenError):
     pass
 
 
-class DegenerateCevian(TetraScreenError):
-    pass
-
-
-class DegenerateCevianConfiguration(TetraScreenError):
-    """Cevians are not pairwise skew; the ruled-surface property is vacuous."""
-
-
 class EulerLineDegenerate(TetraScreenError):
     """Centroid and circumcenter coincide; the Euler line is undefined."""
 

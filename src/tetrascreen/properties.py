@@ -22,6 +22,7 @@ from .errors import (
     EvaluationSingular,
     IdenticalLines,
     ParallelLines,
+    TetraScreenError,
 )
 from .tetrahedron import (
     EdgeLengths,
@@ -435,7 +436,7 @@ def check_faces_parallel(e: EdgeLengths, points) -> Verdict:
         others = [points[j - 1] for j in range(1, 5) if j != i]
         try:
             plane = G.plane_through_3(*others)
-        except Exception as exc:
+        except TetraScreenError as exc:
             return Verdict(SKIPPED, note=f"central face {i} is degenerate: {exc}")
         t = plane.tuple()
         u = (t[0] - t[3], t[1] - t[3], t[2] - t[3])
@@ -502,7 +503,7 @@ def _euler_membership(o, g, candidates: dict, line_name: str) -> Verdict:
     try:
         if o.proj_eq(g):
             return Verdict(SKIPPED, note=f"{line_name} undefined (G = O); property vacuous")
-    except Exception:
+    except TetraScreenError:
         return Verdict(UNDECIDED, note=f"{line_name} could not be certified distinct")
     hits = []
     best = None

@@ -178,23 +178,6 @@ def to_interval(x, bits: int = DEFAULT_BITS) -> Interval:
     return Interval(Q(x), Q(x), bits, _rounded=True)
 
 
-def interval_bits(x) -> int | None:
-    """Precision of an interval scalar, None for exact rationals."""
-    return x.bits if isinstance(x, Interval) else None
-
-
-def add(x, y):
-    return x + y
-
-
-def sub(x, y):
-    return x - y
-
-
-def mul(x, y):
-    return x * y
-
-
 def div(x, y):
     if isinstance(y, Interval):
         return x / y  # raises IndeterminateDivision when 0 in y
@@ -357,23 +340,8 @@ def compare_radical_sums(p, q, r, s) -> int:
     return s1 * mag if mag != 0 else 0
 
 
-def scalar_eq(x, y) -> bool:
-    """Equality of scalars; Undecided propagates from interval straddles."""
-    return sign(x - y) == 0
-
-
 def is_exact(x) -> bool:
     return not isinstance(x, Interval)
-
-
-def as_q(x):
-    """The exact rational value of a scalar; errors on intervals of
-    positive width."""
-    if isinstance(x, Interval):
-        if x.lo == x.hi:
-            return x.lo
-        raise ValueError(f"{x!r} is not an exact value")
-    return Q(x)
 
 
 __all__ = [
@@ -385,22 +353,16 @@ __all__ = [
     "Q",
     "UNDECIDED",
     "ZERO",
-    "add",
-    "as_q",
     "compare_radical_sums",
     "decide_zero",
     "div",
-    "interval_bits",
     "is_exact",
     "is_rational",
     "is_zero",
-    "mul",
     "root",
     "round_down",
     "round_up",
     "sign",
     "sqrt",
-    "scalar_eq",
-    "sub",
     "to_interval",
 ]

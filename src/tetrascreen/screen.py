@@ -46,10 +46,6 @@ def _fmt_scalar(x) -> str:
     return _fmt_q(Q(x))
 
 
-def _fmt_point(p: G.TetraPoint) -> list:
-    return [_fmt_scalar(c) for c in p.tuple()]
-
-
 class BlurredInstance:
     """Duck-typed stand-in for EdgeLengths whose edges are low-precision
     intervals; used by the prefilter.  A nonzero residual computed through

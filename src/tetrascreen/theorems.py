@@ -6,6 +6,10 @@ coordinate patterns, Euler-line parameters, coincidences) exactly.
 Passing means "confirmed (randomized exact)": exact vanishing at n random
 rational parameter points, never a symbolic proof.
 
+Most cases are rows of `_CASES`: a check kind with its arguments, run by
+`_all_instances_pass` or `_isosceles_catalog_case`.  Claims that need
+their own loop keep a bespoke check or runner.
+
 Three kinds of special handling, documented per case in `notes`:
 
 * Several coincidence identities hold for the formula-weighted vertex
@@ -23,31 +27,37 @@ Three kinds of special handling, documented per case in `notes`:
 
 from __future__ import annotations
 
+import copy
+import random
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from . import geometry as G
 from . import properties as P
 from . import scalar as S
 from ._backend import Q
-from .catalog import Catalog, builtin_catalog
+from .catalog import Catalog, builtin_catalog, parse_center_spec
 from .errors import EvaluationSingular, TetraScreenError, UnknownId
-from .screen import _fmt_q, _fmt_scalar
+from .screen import _fmt_q, _fmt_scalar, hunt_counterexample
 from .tetrahedron import (
     EdgeLengths,
     SpaceCenterKind,
     TetraFamily,
     face_points,
     family_constant,
+    family_predicate,
     formula_weighted_sum,
     generate,
     generate_shifted_product,
     space_center,
     space_center_of_points,
     euler_param,
+    euler_param_of_points,
     embed_areal_on_face,
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+PID = P.PropertyId
 
 
 @dataclass
@@ -73,56 +83,67 @@ class TheoremCase:
     family: str            # family value or generator tag
     description: str
     n_default: int
-    runner: object         # callable(case, n, seed, catalog) -> CaseResult
+    check: object = None   # the generic runner's check: callable(inst, catalog) ->
+                           # (ok, detail), or callable(inst, pts) for catalog cells
+    runner: object = None  # callable(case, n, seed, catalog, pool) -> CaseResult;
+                           # None runs `check` through _all_instances_pass
+    notes: tuple = ()
+    details: dict = field(default_factory=dict, compare=False)  # echoed in the report
     expected_to_fail: bool = False
 
     def run(self, n: int | None = None, seed: int = 0,
-            catalog: Catalog | None = None) -> CaseResult:
+            catalog: Catalog | None = None, pool: dict | None = None) -> CaseResult:
+        """Run the case on n instances (default n_default).  `pool` shares
+        generated instances between the cases of one verify run."""
+        n = self.n_default if n is None else n
+        if n < 1:
+            raise ValueError(f"instance count must be at least 1, got {n}")
         catalog = catalog or builtin_catalog()
-        return self.runner(self, n or self.n_default, seed, catalog)
+        pool = {} if pool is None else pool
+        result = (self.runner or _all_instances_pass)(self, n, seed, catalog, pool)
+        result.details.update(copy.deepcopy(self.details))
+        result.notes.extend(self.notes)
+        return result
 
 
-_REGISTRY: dict[str, TheoremCase] = {}
+def _instances(pool: dict, family: str, n: int, seed: int):
+    """The first n instances of a family (or generator tag).
+
+    Instance k depends only on (seed, k, family), so a shorter list is a
+    prefix of a longer one: `pool` keeps the longest list generated so far
+    per (family, seed) and regenerates only when a case needs more.
+    """
+    have = pool.get((family, seed), [])
+    if len(have) < n:
+        if family == "shifted-product":
+            have = generate_shifted_product(seed, n)
+        else:
+            have = generate(TetraFamily(family), seed, n)
+        pool[(family, seed)] = have
+    return have[:n]
 
 
-def _case(id, family, description, n_default, expected_to_fail=False):
-    def wrap(fn):
-        _REGISTRY[id] = TheoremCase(id, family, description, n_default, fn,
-                                    expected_to_fail)
-        return fn
-    return wrap
+def _nonvacuous(result: CaseResult, key: str, count: int, why: str) -> CaseResult:
+    """Record how many items a passing case confirmed; none is a failure."""
+    result.details[key] = count
+    if count == 0:
+        result.status = FAIL
+        result.details["failure"] = why
+    return result
 
 
-def registry() -> dict[str, TheoremCase]:
-    return dict(_REGISTRY)
-
-
-def get_case(case_id: str) -> TheoremCase:
-    try:
-        return _REGISTRY[case_id]
-    except KeyError:
-        raise UnknownId(f"no theorem case {case_id!r}") from None
-
-
-def _instances(family: str, n: int, seed: int):
-    if family == "shifted-product":
-        return generate_shifted_product(seed, n)
-    return generate(TetraFamily(family), seed, n)
-
-
-def _all_instances_pass(case, n, seed, check) -> CaseResult:
-    """Run `check(instance) -> (ok, mode_is_exact, detail_or_None)` over n
+def _all_instances_pass(case, n, seed, catalog, pool, check=None) -> CaseResult:
+    """Run `check(instance, catalog) -> (ok, detail_or_None)` over n
     instances; all must pass."""
+    check = check or case.check
     result = CaseResult(case.id, PASS, n=n)
-    exact = True
-    for idx, inst in enumerate(_instances(case.family, n, seed)):
+    for idx, inst in enumerate(_instances(pool, case.family, n, seed)):
         try:
-            ok, is_exact, detail = check(inst)
+            ok, detail = check(inst, catalog)
         except EvaluationSingular as exc:
             result.details.setdefault("skipped_instances", []).append(
                 {"index": idx, "reason": str(exc)})
             continue
-        exact = exact and is_exact
         if not ok:
             result.status = FAIL
             result.details["failing_instance"] = inst.to_json_dict()
@@ -133,173 +154,16 @@ def _all_instances_pass(case, n, seed, check) -> CaseResult:
     if result.status == PASS and skipped >= n:
         result.status = SKIP
         result.notes.append("all instances were singular for this center")
-    result.mode = "exact" if exact else "numeric"
     return result
 
 
-def _verdict_ok_hyperbolic(v: P.Verdict) -> bool:
-    if v.status == P.HOLDS_EXACT:
-        return True
-    return (v.status == P.SKIPPED and v.payload.get("identity_holds")
-            and v.payload.get("identity_exact", False))
-
-
-_CENTROID_TUPLE = G.TetraPoint(Q(1), Q(1), Q(1), Q(1))
-
-
-# ---------------------------------------------------------------------
-# arbitrary tetrahedra
-
-
-def _centroid_points(inst, catalog):
-    return face_points(inst, catalog["X2"])
-
-
-@_case("T5.1a", "general", "face-centroid central faces parallel to reference faces", 100)
-def _t51a(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_faces_parallel(inst, _centroid_points(inst, catalog))
-        return v.status == P.HOLDS_EXACT, True, v.status
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.1b", "general", "face-centroid cevians concur at the reference centroid", 100)
-def _t51b(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_concurrence(inst, _centroid_points(inst, catalog))
-        ok = (v.status == P.HOLDS_EXACT and "point" in v.payload
-              and v.payload["point"].proj_eq(_CENTROID_TUPLE))
-        return ok, True, v.status
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.1c", "general", "face-centroid central tetrahedron similar, squared ratio 1/9", 100)
-def _t51c(case, n, seed, catalog):
-    def check(inst):
-        v = P.classify_central(inst, _centroid_points(inst, catalog))[
-            P.PropertyId.SIMILAR_TO_REFERENCE]
-        ok = v.status == P.HOLDS_EXACT and v.payload.get("ratio_squared") == Q(1, 9)
-        return ok, True, v.status
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.1d", "general", "face-centroid central centroid = reference centroid", 100)
-def _t51d(case, n, seed, catalog):
-    def check(inst):
-        g = space_center_of_points(_centroid_points(inst, catalog), inst.metric(),
-                                   SpaceCenterKind.CENTROID)
-        return g.proj_eq(_CENTROID_TUPLE), True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.1e", "general", "face-centroid central circumcenter = reference Euler point", 100)
-def _t51e(case, n, seed, catalog):
-    def check(inst):
-        o = space_center_of_points(_centroid_points(inst, catalog), inst.metric(),
-                                   SpaceCenterKind.CIRCUMCENTER)
-        return o.proj_eq(space_center(inst, SpaceCenterKind.EULER)), True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-def _euler_t_case(case, n, seed, catalog, central_kind, expected_t, on_central=False,
-                  ref_kind=None):
-    def check(inst):
-        pts = _centroid_points(inst, catalog)
-        met = inst.metric()
-        if on_central:
-            o = space_center_of_points(pts, met, SpaceCenterKind.CIRCUMCENTER)
-            g = space_center_of_points(pts, met, SpaceCenterKind.CENTROID)
-            from .tetrahedron import euler_param_of_points
-
-            param = euler_param_of_points(o, g, space_center(inst, ref_kind))
-        else:
-            p = space_center_of_points(pts, met, central_kind)
-            param = euler_param(inst, p)
-        ok = param is not None and param.t == expected_t
-        return ok, True, None if ok else {"t": None if param is None else _fmt_q(param.t)}
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.1f", "general", "face-centroid central Monge on reference Euler line at t = 2/3", 100)
-def _t51f(case, n, seed, catalog):
-    return _euler_t_case(case, n, seed, catalog, SpaceCenterKind.MONGE, Q(2, 3))
-
-
-@_case("T5.1g", "general", "face-centroid central Euler point on reference Euler line at t = 8/9", 100)
-def _t51g(case, n, seed, catalog):
-    return _euler_t_case(case, n, seed, catalog, SpaceCenterKind.EULER, Q(8, 9))
-
-
-@_case("T5.1h", "general", "reference circumcenter on the central Euler line at t = 4", 100)
-def _t51h(case, n, seed, catalog):
-    return _euler_t_case(case, n, seed, catalog, None, Q(4), on_central=True,
-                         ref_kind=SpaceCenterKind.CIRCUMCENTER)
-
-
-@_case("T5.1i", "general", "reference Monge point on the central Euler line at t = -2", 100)
-def _t51i(case, n, seed, catalog):
-    return _euler_t_case(case, n, seed, catalog, None, Q(-2), on_central=True,
-                         ref_kind=SpaceCenterKind.MONGE)
-
-
-@_case("T5.2", "general", "normals at face circumcenters concur at the reference circumcenter", 100)
-def _t52(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_normals_concur(inst, face_points(inst, catalog["X3"]))
-        ok = (v.status == P.HOLDS_EXACT and "point" in v.payload
-              and v.payload["point"].proj_eq(space_center(inst, SpaceCenterKind.CIRCUMCENTER)))
-        return ok, True, v.status
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.3", "general",
-       "power-point cevians rule a quadric for r in {-2,-1,0,1,2,3}; center payload permutation-invariant", 50)
-def _t53(case, n, seed, catalog):
-    from .properties import cevian, hyperboloid_center
-    from itertools import permutations
-
-    def check(inst):
-        for r in (-2, -1, 0, 1, 2, 3):
-            pts = face_points(inst, catalog["POW"], r=Q(r))
-            v = P.check_hyperbolic(inst, pts)
-            if not _verdict_ok_hyperbolic(v):
-                return False, True, {"r": r, "status": v.status}
-            if v.status == P.HOLDS_EXACT and "center" in v.payload:
-                lines = [cevian(inst, i, pts[i - 1]) for i in (1, 2, 3, 4)]
-                base = v.payload["center"]
-                for triple in list(permutations(range(4), 3))[:6]:
-                    alt = hyperboloid_center([lines[k] for k in triple])
-                    if not alt.proj_eq(base):
-                        return False, True, {"r": r, "detail": "center not permutation-invariant"}
-        return True, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T5.4", "general",
-       "2a^r+b^r+c^r points: formula-weighted vertex combination = reference centroid (r in {1,2})", 100)
-def _t54(case, n, seed, catalog):
-    def check(inst):
-        for r in (1, 2):
-            w = formula_weighted_sum(inst, catalog["Z8"], r=Q(r), values="trilinear")
-            if not w.proj_eq(_CENTROID_TUPLE):
-                return False, True, {"r": r}
-        return True, True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "weighted reading (bare symmetric values summed); the geometric centroid "
-        "of the four points differs from the reference centroid on generic instances")
-    return result
-
-
-# ---------------------------------------------------------------------
-# isosceles
-
-
-def _isosceles_catalog_case(case, n, seed, catalog, cell_check):
+def _isosceles_catalog_case(case, n, seed, catalog, pool) -> CaseResult:
+    """Run the cell check `case.check(inst, pts)` on every rational-only
+    catalog center of n isosceles instances."""
     result = CaseResult(case.id, PASS, n=n)
     checked = 0
     skipped = 0
-    for inst in _instances("isosceles", n, seed):
+    for inst in _instances(pool, "isosceles", n, seed):
         for entry in catalog:
             if not entry.rational_only:
                 continue
@@ -309,7 +173,7 @@ def _isosceles_catalog_case(case, n, seed, catalog, cell_check):
             except EvaluationSingular:
                 skipped += 1
                 continue
-            ok, detail = cell_check(inst, pts)
+            ok, detail = case.check(inst, pts)
             checked += 1
             if not ok:
                 result.status = FAIL
@@ -318,44 +182,130 @@ def _isosceles_catalog_case(case, n, seed, catalog, cell_check):
                 if detail:
                     result.details["failure"] = detail
                 return result
-    result.details["cells_checked"] = checked
     result.details["cells_skipped_singular"] = skipped
-    return result
-
-
-@_case("T6a", "isosceles", "every catalog center: the four cevians have equal length", 20)
-def _t6a(case, n, seed, catalog):
-    return _isosceles_catalog_case(
-        case, n, seed, catalog,
-        lambda inst, pts: (P.check_equal_cevians(inst, pts).status == P.HOLDS_EXACT, None))
-
-
-@_case("T6b", "isosceles", "every catalog center: the central tetrahedron is isosceles", 20)
-def _t6b(case, n, seed, catalog):
-    def cell(inst, pts):
-        v = P.classify_central(inst, pts)[P.PropertyId.CENTRAL_ISOSCELES]
-        return v.status == P.HOLDS_EXACT, v.status
-    return _isosceles_catalog_case(case, n, seed, catalog, cell)
-
-
-@_case("T6c", "isosceles", "every catalog center: central centroid = reference centroid", 20)
-def _t6c(case, n, seed, catalog):
-    def cell(inst, pts):
-        g = space_center_of_points(pts, inst.metric(), SpaceCenterKind.CENTROID)
-        return g.proj_eq(_CENTROID_TUPLE), None
-    return _isosceles_catalog_case(case, n, seed, catalog, cell)
-
-
-@_case("T6d", "isosceles", "every catalog center: the cevians rule a quadric (spear identity exact)", 20)
-def _t6d(case, n, seed, catalog):
-    def cell(inst, pts):
-        v = P.check_hyperbolic(inst, pts)
-        return _verdict_ok_hyperbolic(v), v.status
-    return _isosceles_catalog_case(case, n, seed, catalog, cell)
+    return _nonvacuous(result, "cells_checked", checked, "no catalog cell was checked")
 
 
 # ---------------------------------------------------------------------
-# circumscriptible
+# check kinds.  A cell kind takes (inst, pts), the face points of one
+# center; `_on` turns it into an instance check for a fixed center.
+
+
+_CENTROID_TUPLE = G.TetraPoint(Q(1), Q(1), Q(1), Q(1))
+
+
+def _verdict_ok_hyperbolic(v: P.Verdict) -> bool:
+    if v.status == P.HOLDS_EXACT:
+        return True
+    return (v.status == P.SKIPPED and v.payload.get("identity_holds")
+            and v.payload.get("identity_exact", False))
+
+
+def _on(center, cell):
+    """Instance check: `cell` on the face points of one catalog center."""
+    return lambda inst, catalog: cell(inst, face_points(inst, catalog[center]))
+
+
+def _holds(prop, at=None, **payload):
+    """Cell kind: property `prop` holds exactly, with the given payload
+    values and, when `at` is given, at the point `at(inst)`."""
+    def cell(inst, pts):
+        v = P.check_property(inst, pts, prop)
+        ok = (v.status == P.HOLDS_EXACT
+              and all(v.payload.get(key) == value for key, value in payload.items())
+              and (at is None or ("point" in v.payload
+                                  and v.payload["point"].proj_eq(at(inst)))))
+        return ok, v.status
+    return cell
+
+
+def _ruled(inst, pts):
+    """Cell kind: the cevians rule a quadric (or concur with the spear
+    identity exact)."""
+    v = P.check_hyperbolic(inst, pts)
+    return _verdict_ok_hyperbolic(v), v.status
+
+
+def _central_center(kind, target):
+    """Cell kind: the `kind` center of the four face points is `target(inst)`."""
+    def cell(inst, pts):
+        return space_center_of_points(pts, inst.metric(), kind).proj_eq(target(inst)), None
+    return cell
+
+
+def _param_is(param, t):
+    ok = param is not None and param.t == t
+    return ok, None if ok else {"t": None if param is None else _fmt_q(param.t)}
+
+
+def _central_on_euler(kind, t):
+    """Cell kind: the central `kind` center lies on the reference Euler line at t."""
+    def cell(inst, pts):
+        return _param_is(euler_param(inst, space_center_of_points(pts, inst.metric(), kind)), t)
+    return cell
+
+
+def _reference_on_euler(kind, t):
+    """Cell kind: the reference `kind` center lies on the central Euler line at t."""
+    def cell(inst, pts):
+        met = inst.metric()
+        o = space_center_of_points(pts, met, SpaceCenterKind.CIRCUMCENTER)
+        g = space_center_of_points(pts, met, SpaceCenterKind.CENTROID)
+        return _param_is(euler_param_of_points(o, g, space_center(inst, kind)), t)
+    return cell
+
+
+def _weighted_sum(center, target, values="areal", rs=(None,)):
+    """Instance check: the formula-weighted combination of the center's
+    face tuples is `target(inst)`, for each exponent r in `rs`."""
+    def check(inst, catalog):
+        for r in rs:
+            w = formula_weighted_sum(inst, catalog[center], r=None if r is None else Q(r),
+                                     values=values)
+            if not w.proj_eq(target(inst)):
+                detail = {"weighted_point": [_fmt_scalar(c) for c in w.tuple()]}
+                if r is not None:
+                    detail["r"] = r
+                return False, detail
+        return True, None
+    return check
+
+
+def _ruled_family(centers):
+    """Instance check: each center's cevians rule a quadric; a center
+    singular on the instance is passed over."""
+    def check(inst, catalog):
+        for cid in centers:
+            try:
+                pts = face_points(inst, catalog[cid])
+            except EvaluationSingular:
+                continue
+            ok, status = _ruled(inst, pts)
+            if not ok:
+                return False, {"center": cid, "status": status}
+        return True, None
+    return check
+
+
+def _quadric_case(case_id, family, center, name=None, conjugates=True):
+    """Row: the cevians to `center` (and, with `conjugates`, to its
+    isotomic and isogonal conjugates) rule a quadric."""
+    centers = [center, f"{center}^T", f"{center}^-1"] if conjugates else [center]
+    what = "cevians and conjugates" if conjugates else "cevians"
+    return TheoremCase(case_id, family, f"{name or center} {what} rule a quadric", 100,
+                       _ruled_family(centers), details={"centers": centers})
+
+
+# ---------------------------------------------------------------------
+# expected points
+
+
+def _centroid(inst):
+    return _CENTROID_TUPLE
+
+
+def _reference(kind):
+    return lambda inst: space_center(inst, kind)
 
 
 def _tangent_lengths(inst):
@@ -364,446 +314,108 @@ def _tangent_lengths(inst):
     return (a2 + a3 - a1, a3 + a1 - a2, a1 + a2 - a3, 2 * t - (a1 + a2 + a3))
 
 
-@_case("T7a", "circumscriptible",
-       "Gergonne cevians concur; point reciprocal in the four tangent lengths "
-       "(4th coordinate the stated triple product)", 100)
-def _t7a(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_concurrence(inst, face_points(inst, catalog["X7"]))
-        if v.status != P.HOLDS_EXACT or "point" not in v.payload:
-            return False, True, v.status
-        d1, d2, d3, w = _tangent_lengths(inst)
-        expected = G.TetraPoint(d2 * d3 * w, d3 * d1 * w, d1 * d2 * w, d1 * d2 * d3)
-        return v.payload["point"].proj_eq(expected), True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T7b", "circumscriptible",
-       "Nagel cevians concur; 4th coordinate proportional to a1+a2+a3-2t (factor -1)", 100)
-def _t7b(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_concurrence(inst, face_points(inst, catalog["X8"]))
-        if v.status != P.HOLDS_EXACT or "point" not in v.payload:
-            return False, True, v.status
-        d1, d2, d3, w = _tangent_lengths(inst)
-        expected = G.TetraPoint(d1, d2, d3, w)  # w = -(a1+a2+a3-2t)
-        return v.payload["point"].proj_eq(expected), True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append("stated polynomial a1+a2+a3-2t matches with constant ratio -1")
-    return result
-
-
-@_case("T7c", "circumscriptible", "the four Feuerbach points are coplanar", 100)
-def _t7c(case, n, seed, catalog):
-    def check(inst):
-        return P.check_coplanar(inst, face_points(inst, catalog["X11"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T7d", "circumscriptible", "normals at the incenters concur", 100)
-def _t7d(case, n, seed, catalog):
-    def check(inst):
-        return P.check_normals_concur(inst, face_points(inst, catalog["X1"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T7e", "circumscriptible", "normals at the X40 (Bevan) points concur", 100)
-def _t7e(case, n, seed, catalog):
-    def check(inst):
-        return P.check_normals_concur(inst, face_points(inst, catalog["X40"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-def _hyperbolic_family_case(case, n, seed, catalog, base_ids, with_conjugates=True):
-    variants = []
-    for cid in base_ids:
-        variants.append(cid)
-        if with_conjugates:
-            variants.extend([f"{cid}^T", f"{cid}^-1"])
-
-    def check(inst):
-        for cid in variants:
-            try:
-                pts = face_points(inst, catalog[cid])
-            except EvaluationSingular:
-                continue
-            v = P.check_hyperbolic(inst, pts)
-            if not _verdict_ok_hyperbolic(v):
-                return False, True, {"center": cid, "status": v.status}
-        return True, True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.details["centers"] = variants
-    return result
-
-
-@_case("T7.2a", "circumscriptible", "Gergonne cevians and conjugates rule a quadric", 100)
-def _t72a(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X7"])
-
-
-@_case("T7.2b", "circumscriptible", "Nagel cevians and conjugates rule a quadric", 100)
-def _t72b(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X8"])
-
-
-@_case("T7.2c", "circumscriptible", "Mittenpunkt cevians and conjugates rule a quadric", 100)
-def _t72c(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X9"])
-
-
-@_case("T7.2d", "circumscriptible", "X41 cevians and conjugates rule a quadric", 100)
-def _t72d(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X41"])
-
-
-@_case("T7.2e", "circumscriptible", "Feuerbach cevians and conjugates rule a quadric", 100)
-def _t72e(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X11"])
-
-
-# ---------------------------------------------------------------------
-# isodynamic
-
-
-@_case("T8.1a", "isodynamic",
-       "power-point cevians concur for r in {-1,0,1,2}; point follows the "
-       "(t a_i)^(r+1) pattern; the stated a1 a2^(r+1) a3 coordinate is recorded, not asserted", 100)
-def _t81a(case, n, seed, catalog):
-    stated_matches = set()
-
-    def check(inst):
-        t = family_constant(inst, TetraFamily.ISODYNAMIC)
-        a1, a2, a3 = inst.a1, inst.a2, inst.a3
-        for r in (-1, 0, 1, 2):
-            v = P.check_concurrence(inst, face_points(inst, catalog["POW"], r=Q(r)))
-            if v.status != P.HOLDS_EXACT or "point" not in v.payload:
-                return False, True, {"r": r, "status": v.status}
-            q = r + 1
-            expected = G.TetraPoint((t * a1) ** q, (t * a2) ** q, (t * a3) ** q,
-                                    (a1 * a2 * a3) ** q)
-            if not v.payload["point"].proj_eq(expected):
-                return False, True, {"r": r, "detail": "pattern mismatch"}
-            stated = G.TetraPoint(a1 ** q, a2 ** q, a3 ** q, a1 * a2 ** q * a3)
-            stated_matches.add((r, v.payload["point"].proj_eq(stated)))
-        return True, True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.details["stated_4th_coordinate_matches"] = sorted(
-        f"r={r}: {m}" for r, m in stated_matches)
-    result.notes.append(
-        "the classically stated 4th coordinate is asymmetric in a1, a3 and does "
-        "not match; the verified pattern is ((t a1)^q, (t a2)^q, (t a3)^q, (a1 a2 a3)^q), q = r+1")
-    return result
-
-
-@_case("T8.1b", "isodynamic", "the four Feuerbach points are coplanar", 100)
-def _t81b(case, n, seed, catalog):
-    def check(inst):
-        return P.check_coplanar(inst, face_points(inst, catalog["X11"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T8.1c", "isodynamic", "the four X44 points are coplanar", 100)
-def _t81c(case, n, seed, catalog):
-    def check(inst):
-        return P.check_coplanar(inst, face_points(inst, catalog["X44"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T8.1d", "isodynamic", "the four face symmedian axes (trilinear polars of the "
-       "symmedian points) are coplanar", 100)
-def _t81d(case, n, seed, catalog):
-    def check(inst):
-        points = []
-        for i in (1, 2, 3, 4):
-            s1, s2, s3 = inst.face_side_triple(i)
-            # two points of the line x/s1^2 + y/s2^2 + z/s3^2 = 0, embedded
-            points.append(embed_areal_on_face(i, (s1 * s1, -(s2 * s2), Q(0))))
-            points.append(embed_areal_on_face(i, (s1 * s1, Q(0), -(s3 * s3))))
-        rows = [p.tuple() for p in points]
-        # all eight points coplanar <=> every 4x4 minor with the first two
-        # rows fixed vanishes (the first two points span with any two others)
-        for i in range(2, 8):
-            for j in range(i + 1, 8):
-                if G.det4_sign([rows[0], rows[1], rows[i], rows[j]]) != 0:
-                    return False, True, {"minor": (0, 1, i, j)}
-        return True, True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "embedding assumption: the face line x/a^2+y/b^2+z/c^2=0 is mapped through "
-        "two of its points per the face coordinate displays")
-    return result
-
-
-@_case("T8.1e", "isodynamic",
-       "circumcenter of the X76 points = reference centroid (does not reproduce)", 100,
-       expected_to_fail=True)
-def _t81e(case, n, seed, catalog):
-    def check(inst):
-        oc = space_center_of_points(face_points(inst, catalog["X76"]), inst.metric(),
-                                    SpaceCenterKind.CIRCUMCENTER)
-        return oc.proj_eq(_CENTROID_TUPLE), True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "claim does not hold under exact arithmetic for X76 = isotomic conjugate of "
-        "the symmedian point (trilinear 1/a^3); no power point a^r (r in -12..12), no "
-        "catalog center or conjugate, and neither the geometric, formula-weighted nor "
-        "raw-distance circumcenter reading satisfies it; kept red deliberately")
-    return result
-
-
-@_case("T8.2a", "isodynamic", "Spieker cevians and conjugates rule a quadric", 100)
-def _t82a(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X10"])
-
-
-@_case("T8.2b", "isodynamic", "X37 cevians and conjugates rule a quadric", 100)
-def _t82b(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X37"])
-
-
-@_case("T8.2c", "isodynamic", "X38 cevians and conjugates rule a quadric", 100)
-def _t82c(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X38"])
-
-
-@_case("T8.2d", "isodynamic", "Brocard-midpoint cevians and conjugates rule a quadric", 100)
-def _t82d(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X39"])
-
-
-@_case("T8.2e", "isodynamic", "X42 cevians and conjugates rule a quadric", 100)
-def _t82e(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X42"])
-
-
-def _not_curated(case, n, seed, catalog):
-    result = CaseResult(case.id, SKIP, n=0)
-    result.notes.append(
-        "not curated: no reliable formula is known for this id — the extended "
-        "numbering above X101 does not match the public ETC (the X102/X117 "
-        "formulas here name different points than ETC's), and the ETC points of "
-        "the same numbers are bicentric or fail the strict b<->c symmetry the "
-        "expression language enforces")
-    return result
-
-
-for _k, _letter in zip(range(106, 112), "fghijk"):
-    _case(f"T8.2{_letter}", "isodynamic",
-          f"X{_k} cevians rule a quadric (center formula not curated)", 100)(_not_curated)
-
-
-# ---------------------------------------------------------------------
-# orthocentric
-
-
 def _squared_tangent_lengths(inst):
     t = family_constant(inst, TetraFamily.ORTHOCENTRIC)
     s1, s2, s3 = inst.a1 ** 2, inst.a2 ** 2, inst.a3 ** 2
     return (s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3, 2 * t - (s1 + s2 + s3))
 
 
-@_case("T9.1a", "orthocentric",
-       "orthocenter cevians concur; point reciprocal in the squared-edge complements "
-       "(4th coordinate the stated triple product)", 100)
-def _t91a(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_concurrence(inst, face_points(inst, catalog["X4"]))
-        if v.status != P.HOLDS_EXACT or "point" not in v.payload:
-            return False, True, v.status
-        e1, e2, e3, w = _squared_tangent_lengths(inst)
-        expected = G.TetraPoint(e2 * e3 * w, e3 * e1 * w, e1 * e2 * w, e1 * e2 * e3)
-        return v.payload["point"].proj_eq(expected), True, None
-    return _all_instances_pass(case, n, seed, check)
+def _direct(lengths):
+    """Expected point (d1, d2, d3, w) of the family's lengths."""
+    return lambda inst: G.TetraPoint(*lengths(inst))
 
 
-@_case("T9.1b", "orthocentric",
-       "isotomic conjugates of the orthocenters concur; 4th coordinate proportional "
-       "to a1^2+a2^2+a3^2-2t (factor -1)", 100)
-def _t91b(case, n, seed, catalog):
-    def check(inst):
-        v = P.check_concurrence(inst, face_points(inst, catalog["X69"]))
-        if v.status != P.HOLDS_EXACT or "point" not in v.payload:
-            return False, True, v.status
-        e1, e2, e3, w = _squared_tangent_lengths(inst)
-        expected = G.TetraPoint(e1, e2, e3, w)
-        return v.payload["point"].proj_eq(expected), True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-def _weighted_sum_case(case, n, seed, catalog, center_id, target_kind, values="areal"):
-    def check(inst):
-        w = formula_weighted_sum(inst, catalog[center_id], values=values)
-        target = (_CENTROID_TUPLE if target_kind is SpaceCenterKind.CENTROID
-                  else space_center(inst, target_kind))
-        ok = w.proj_eq(target)
-        detail = None
-        if not ok:
-            detail = {"weighted_point": [_fmt_scalar(c) for c in w.tuple()]}
-        return ok, True, detail
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "weighted reading (canonical areal values summed without normalization); "
-        "the geometric centroid of the four points does not satisfy the claim")
-    return result
-
-
-@_case("T9.1c", "orthocentric",
-       "nine-point centers: formula-weighted combination = reference centroid", 100)
-def _t91c(case, n, seed, catalog):
-    return _weighted_sum_case(case, n, seed, catalog, "X5", SpaceCenterKind.CENTROID)
-
-
-@_case("T9.1d", "orthocentric",
-       "orthocenters: formula-weighted combination = reference Monge point", 100)
-def _t91d(case, n, seed, catalog):
-    return _weighted_sum_case(case, n, seed, catalog, "X4", SpaceCenterKind.MONGE)
-
-
-@_case("T9.1e", "orthocentric",
-       "circumcenter of the orthocenters lies on the reference Euler line "
-       "(it is the reference Euler point, t = 4/3)", 100)
-def _t91e(case, n, seed, catalog):
-    def check(inst):
-        o = space_center_of_points(face_points(inst, catalog["X4"]), inst.metric(),
-                                   SpaceCenterKind.CIRCUMCENTER)
-        param = euler_param(inst, o)
-        return param is not None and param.t == Q(4, 3), True, None
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T9.1f", "orthocentric",
-       "Monge point of the orthocenters (weighted centroid doubled less the "
-       "circumcenter) lies on the reference Euler line at t = 8/3", 100)
-def _t91f(case, n, seed, catalog):
-    def check(inst):
-        pts = face_points(inst, catalog["X4"])
-        met = inst.metric()
-        g_raw = formula_weighted_sum(inst, catalog["X4"]).normalized()
-        o = space_center_of_points(pts, met, SpaceCenterKind.CIRCUMCENTER).normalized()
-        monge = G.TetraPoint(*(2 * g_raw.tuple()[i] - o.tuple()[i] for i in range(4)))
-        param = euler_param(inst, monge)
-        ok = param is not None and param.t == Q(8, 3)
-        return ok, True, None if ok else {"t": None if param is None else _fmt_q(param.t)}
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "reproduces with the weighted centroid; the geometric central Monge point "
-        "is not on the line")
-    return result
-
-
-@_case("T9.1g", "orthocentric",
-       "X53 points: formula-weighted combination = reference Monge point", 100)
-def _t91g(case, n, seed, catalog):
-    return _weighted_sum_case(case, n, seed, catalog, "X53", SpaceCenterKind.MONGE)
-
-
-def _normals_case(case, n, seed, catalog, center_id):
-    def check(inst):
-        v = P.check_normals_concur(inst, face_points(inst, catalog[center_id]))
-        return v.status == P.HOLDS_EXACT, True, v.status
-    return _all_instances_pass(case, n, seed, check)
-
-
-@_case("T9.2a", "orthocentric", "normals at the circumcenters concur", 100)
-def _t92a(case, n, seed, catalog):
-    return _normals_case(case, n, seed, catalog, "X3")
-
-
-@_case("T9.2b", "orthocentric", "normals at the centroids concur", 100)
-def _t92b(case, n, seed, catalog):
-    return _normals_case(case, n, seed, catalog, "X2")
-
-
-@_case("T9.2c", "orthocentric", "normals at the orthocenters concur", 100)
-def _t92c(case, n, seed, catalog):
-    return _normals_case(case, n, seed, catalog, "X4")
-
-
-@_case("T9.2d", "orthocentric", "normals at the nine-point centers concur", 100)
-def _t92d(case, n, seed, catalog):
-    return _normals_case(case, n, seed, catalog, "X5")
-
-
-@_case("T9.2e", "orthocentric", "normals at the de Longchamps points concur", 100)
-def _t92e(case, n, seed, catalog):
-    return _normals_case(case, n, seed, catalog, "X20")
-
-
-@_case("T9.3a", "orthocentric", "circumcenter cevians rule a quadric", 100)
-def _t93a(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X3"], with_conjugates=False)
-
-
-@_case("T9.3b", "orthocentric", "Clawson (crucial) point cevians and conjugates rule a quadric", 100)
-def _t93b(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X19"])
-
-
-@_case("T9.3c", "orthocentric", "X25 cevians rule a quadric", 100)
-def _t93c(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X25"], with_conjugates=False)
-
-
-@_case("T9.3d", "orthocentric", "X48 cevians and conjugates rule a quadric", 100)
-def _t93d(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X48"])
+def _reciprocal(lengths):
+    """Expected point reciprocal in the family's lengths, 4th coordinate
+    the triple product."""
+    def point(inst):
+        d1, d2, d3, w = lengths(inst)
+        return G.TetraPoint(d2 * d3 * w, d3 * d1 * w, d1 * d2 * w, d1 * d2 * d3)
+    return point
 
 
 # ---------------------------------------------------------------------
-# harmonic
+# bespoke checks and runners
 
 
-@_case("T10.1a", "harmonic", "the four Feuerbach points are coplanar", 100)
-def _t101a(case, n, seed, catalog):
-    def check(inst):
-        return P.check_coplanar(inst, face_points(inst, catalog["X11"])).status == P.HOLDS_EXACT, True, None
-    return _all_instances_pass(case, n, seed, check)
+def _t53(inst, catalog):
+    for r in (-2, -1, 0, 1, 2, 3):
+        pts = face_points(inst, catalog["POW"], r=Q(r))
+        v = P.check_hyperbolic(inst, pts)
+        if not _verdict_ok_hyperbolic(v):
+            return False, {"r": r, "status": v.status}
+        if v.status == P.HOLDS_EXACT and "center" in v.payload:
+            lines = [P.cevian(inst, i, pts[i - 1]) for i in (1, 2, 3, 4)]
+            for triple in list(permutations(range(4), 3))[:6]:
+                alt = P.hyperboloid_center([lines[k] for k in triple])
+                if not alt.proj_eq(v.payload["center"]):
+                    return False, {"r": r, "detail": "center not permutation-invariant"}
+    return True, None
 
 
-@_case("T10.1b", "harmonic",
-       "X117 cevians and those of its isotomic conjugate concur", 100)
-def _t101b(case, n, seed, catalog):
-    def check(inst):
-        for cid in ("X117", "X117^T"):
-            v = P.check_concurrence(inst, face_points(inst, catalog[cid]))
-            if v.status != P.HOLDS_EXACT:
-                return False, True, {"center": cid, "status": v.status}
-        return True, True, None
-    result = _all_instances_pass(case, n, seed, check)
-    result.notes.append(
-        "the isotomic conjugate is computed directly; it is classically labeled "
-        "X102, but the X102 formula a*(1/b+1/c-1/a) is a different (also "
-        "concurring) member of the same family")
+def _t81a(case, n, seed, catalog, pool):
+    stated_matches = set()
+
+    def check(inst, catalog):
+        t = family_constant(inst, TetraFamily.ISODYNAMIC)
+        a1, a2, a3 = inst.a1, inst.a2, inst.a3
+        for r in (-1, 0, 1, 2):
+            v = P.check_concurrence(inst, face_points(inst, catalog["POW"], r=Q(r)))
+            if v.status != P.HOLDS_EXACT or "point" not in v.payload:
+                return False, {"r": r, "status": v.status}
+            q = r + 1
+            expected = G.TetraPoint((t * a1) ** q, (t * a2) ** q, (t * a3) ** q,
+                                    (a1 * a2 * a3) ** q)
+            if not v.payload["point"].proj_eq(expected):
+                return False, {"r": r, "detail": "pattern mismatch"}
+            stated = G.TetraPoint(a1 ** q, a2 ** q, a3 ** q, a1 * a2 ** q * a3)
+            stated_matches.add((r, v.payload["point"].proj_eq(stated)))
+        return True, None
+    result = _all_instances_pass(case, n, seed, catalog, pool, check)
+    result.details["stated_4th_coordinate_matches"] = sorted(
+        f"r={r}: {m}" for r, m in stated_matches)
     return result
 
 
-@_case("T10.2a", "harmonic", "X43 cevians and conjugates rule a quadric", 100)
-def _t102a(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X43"])
+def _t81d(inst, catalog):
+    points = []
+    for i in (1, 2, 3, 4):
+        s1, s2, s3 = inst.face_side_triple(i)
+        # two points of the line x/s1^2 + y/s2^2 + z/s3^2 = 0, embedded
+        points.append(embed_areal_on_face(i, (s1 * s1, -(s2 * s2), Q(0))))
+        points.append(embed_areal_on_face(i, (s1 * s1, Q(0), -(s3 * s3))))
+    rows = [p.tuple() for p in points]
+    # all eight points coplanar <=> every 4x4 minor with the first two
+    # rows fixed vanishes (the first two points span with any two others)
+    for i in range(2, 8):
+        for j in range(i + 1, 8):
+            if G.det4_sign([rows[0], rows[1], rows[i], rows[j]]) != 0:
+                return False, {"minor": (0, 1, i, j)}
+    return True, None
 
 
-@_case("T10.2b", "harmonic", "X102 cevians rule a quadric", 100)
-def _t102b(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X102"], with_conjugates=False)
+def _t91f(inst, catalog):
+    pts = face_points(inst, catalog["X4"])
+    met = inst.metric()
+    g_raw = formula_weighted_sum(inst, catalog["X4"]).normalized()
+    o = space_center_of_points(pts, met, SpaceCenterKind.CIRCUMCENTER).normalized()
+    monge = G.TetraPoint(*(2 * g_raw.tuple()[i] - o.tuple()[i] for i in range(4)))
+    return _param_is(euler_param(inst, monge), Q(8, 3))
 
 
-@_case("T10.2c", "harmonic", "X117 cevians rule a quadric", 100)
-def _t102c(case, n, seed, catalog):
-    return _hyperbolic_family_case(case, n, seed, catalog, ["X117"], with_conjugates=False)
+def _t101b(inst, catalog):
+    for cid in ("X117", "X117^T"):
+        v = P.check_concurrence(inst, face_points(inst, catalog[cid]))
+        if v.status != P.HOLDS_EXACT:
+            return False, {"center": cid, "status": v.status}
+    return True, None
 
 
-# ---------------------------------------------------------------------
-# planarity determinant and Tabov conditions
-
-
-@_case("T12.1", "circumscriptible",
-       "Feuerbach determinant vanishes and the Feuerbach points are coplanar on all "
-       "families it covers (tangent/product/reciprocal/shifted-product)", 50)
-def _t121(case, n, seed, catalog):
+def _t121(case, n, seed, catalog, pool):
     result = CaseResult(case.id, PASS, n=n)
     families = ("circumscriptible", "isodynamic", "harmonic", "shifted-product")
     for fam in families:
-        for inst in _instances(fam, n, seed):
+        for inst in _instances(pool, fam, n, seed):
             if not P.feuerbach_planarity_condition(inst):
                 result.status = FAIL
                 result.details["failure"] = {"family": fam, "which": "determinant"}
@@ -822,12 +434,7 @@ def _t121(case, n, seed, catalog):
     return result
 
 
-@_case("T12.2", "isosceles",
-       "no catalog center keeps its four face points coplanar on all isosceles "
-       "instances (falsification search succeeds for every center)", 1)
-def _t122(case, n, seed, catalog):
-    from .screen import hunt_counterexample
-
+def _t122(case, n, seed, catalog, pool):
     res = hunt_counterexample("planarity-impossibility", budget=1000, seed=seed,
                               catalog=catalog)
     result = CaseResult(case.id, PASS if res["claim_supported"] else FAIL,
@@ -837,18 +444,10 @@ def _t122(case, n, seed, catalog):
     return result
 
 
-@_case("T13.1", "general",
-       "normals at points of faces 1 and 2 meet exactly when the squared-distance "
-       "sums balance (both directions, constructed points)", 200)
-def _t131(case, n, seed, catalog):
-    import random
-
-    from .properties import face_normal_line, tabov_pair_residual
-    from .geometry import det4_sign
-
+def _t131(case, n, seed, catalog, pool):
     rng = random.Random(seed)
     result = CaseResult(case.id, PASS, n=n)
-    insts = _instances("general", max(1, n // 20), seed)
+    insts = _instances(pool, "general", max(1, n // 20), seed)
     done = 0
     while done < n:
         inst = insts[done % len(insts)]
@@ -860,8 +459,7 @@ def _t131(case, n, seed, catalog):
         conforming = done % 2 == 0
         if conforming:
             # solve the affine condition for p2 = x*A1 + z*A3 + w*A4
-            a3v, a4v = G.VERTICES[2], G.VERTICES[3]
-            a1v = G.VERTICES[0]
+            a1v, _, a3v, a4v = G.VERTICES
             g = {}
             for name, vert in (("A1", a1v), ("A3", a3v), ("A4", a4v)):
                 g[name] = (G.squared_distance(vert, a3v, met)
@@ -881,11 +479,11 @@ def _t131(case, n, seed, catalog):
         else:
             p2 = G.TetraPoint(Q(rng.randint(1, 9)), Q(0), Q(rng.randint(1, 9)),
                               Q(rng.randint(1, 9))).normalized()
-        residual = tabov_pair_residual(met, p1, p2)
-        n1 = face_normal_line(inst, 1, p1)
-        n2 = face_normal_line(inst, 2, p2)
-        meet = det4_sign([n1.base.tuple(), n1.direction.tuple(),
-                          n2.base.tuple(), n2.direction.tuple()]) == 0
+        residual = P.tabov_pair_residual(met, p1, p2)
+        n1 = P.face_normal_line(inst, 1, p1)
+        n2 = P.face_normal_line(inst, 2, p2)
+        meet = G.det4_sign([n1.base.tuple(), n1.direction.tuple(),
+                            n2.base.tuple(), n2.direction.tuple()]) == 0
         if (residual == 0) != meet:
             result.status = FAIL
             result.details["failure"] = {
@@ -893,135 +491,48 @@ def _t131(case, n, seed, catalog):
                 "residual": _fmt_scalar(residual), "normals_meet": meet}
             return result
         done += 1
-    result.details["pairs_checked"] = done
-    return result
+    return _nonvacuous(result, "pairs_checked", done, "no pair was checked")
 
 
-# ---------------------------------------------------------------------
-# closure invariants
+def _has(v: P.Verdict, prop) -> bool:
+    return v.holds or (prop is PID.HYPERBOLIC and _verdict_ok_hyperbolic(v))
 
 
-@_case("CL-isotomic", "circumscriptible",
-       "where cevians to a center concur, cevians to its isotomic conjugate concur", 50)
-def _cl_isotomic(case, n, seed, catalog):
-    pairs = [("circumscriptible", "X7"), ("circumscriptible", "X8"),
-             ("orthocentric", "X4"), ("harmonic", "X117"), ("general", "X2")]
-    return _closure_case(case, n, seed, catalog, pairs, conj="isotomic")
-
-
-@_case("CL-isogonal", "general",
-       "where cevians to a center rule a quadric, so do those of its isogonal conjugate", 50)
-def _cl_isogonal(case, n, seed, catalog):
-    pairs = [("general", "POW:2"), ("circumscriptible", "X7"),
-             ("isodynamic", "X10"), ("orthocentric", "X19")]
-    return _closure_case(case, n, seed, catalog, pairs, conj="isogonal",
-                         prop=P.PropertyId.HYPERBOLIC)
-
-
-def _closure_case(case, n, seed, catalog, pairs, conj, prop=P.PropertyId.CONCUR):
-    from .catalog import parse_center_spec
-
-    result = CaseResult(case.id, PASS, n=n)
-    checked = 0
-    per_pair = max(1, n // len(pairs))
-    for fam, spec_text in pairs:
-        cid, r = parse_center_spec(spec_text)
-        entry = catalog[cid]
-        derived = entry.isotomic() if conj == "isotomic" else entry.isogonal()
-        for inst in _instances(fam, per_pair, seed):
-            try:
-                base_pts = face_points(inst, entry, r=r)
-                base_v = P.check_property(inst, base_pts, prop)
-                if not (base_v.holds or (prop is P.PropertyId.HYPERBOLIC
-                                         and _verdict_ok_hyperbolic(base_v))):
+def _closure(bases, variants, prop=PID.CONCUR, key="pairs_confirmed"):
+    """Runner: wherever the cevians to a base center (family, spec) have
+    `prop`, so do those of each `(label, entry, r)` in `variants(entry, r)`."""
+    def run(case, n, seed, catalog, pool):
+        result = CaseResult(case.id, PASS, n=n)
+        checked = 0
+        for fam, spec in bases:
+            cid, r = parse_center_spec(spec)
+            entry = catalog[cid]
+            derived = variants(entry, r)
+            for inst in _instances(pool, fam, max(1, n // len(bases)), seed):
+                try:
+                    if not _has(P.check_property(inst, face_points(inst, entry, r=r), prop), prop):
+                        continue
+                    for label, d_entry, d_r in derived:
+                        v = P.check_property(inst, face_points(inst, d_entry, r=d_r), prop)
+                        if not _has(v, prop):
+                            result.status = FAIL
+                            result.details["failure"] = {"family": fam, "center": spec,
+                                                         "variant": label, "status": v.status}
+                            result.details["failing_instance"] = inst.to_json_dict()
+                            return result
+                except EvaluationSingular:
                     continue
-                der_pts = face_points(inst, derived, r=r)
-                der_v = P.check_property(inst, der_pts, prop)
-            except EvaluationSingular:
-                continue
-            checked += 1
-            ok = der_v.holds or (prop is P.PropertyId.HYPERBOLIC
-                                 and _verdict_ok_hyperbolic(der_v))
-            if not ok:
-                result.status = FAIL
-                result.details["failure"] = {"family": fam, "center": spec_text,
-                                             "conjugate_status": der_v.status}
-                result.details["failing_instance"] = inst.to_json_dict()
-                return result
-    result.details["pairs_confirmed"] = checked
-    if checked == 0:
-        result.status = FAIL
-        result.details["failure"] = "no base concurrence was found to test closure on"
-    return result
-
-
-@_case("CL-power", "circumscriptible",
-       "where cevians to a center concur, cevians to its r-th power concur (r in {2,3,-1})", 50)
-def _cl_power(case, n, seed, catalog):
-    result = CaseResult(case.id, PASS, n=n)
-    checked = 0
-    entry = catalog["CEV1"]
-    for inst in _instances("circumscriptible", n, seed):
-        base = P.check_concurrence(inst, face_points(inst, entry, r=Q(1)))
-        if base.status != P.HOLDS_EXACT:
-            continue
-        for r in (2, 3, -1):
-            v = P.check_concurrence(inst, face_points(inst, entry, r=Q(r)))
-            if v.status != P.HOLDS_EXACT:
-                result.status = FAIL
-                result.details["failure"] = {"r": r, "status": v.status}
-                result.details["failing_instance"] = inst.to_json_dict()
-                return result
-        checked += 1
-    result.details["instances_confirmed"] = checked
-    return result
-
-
-@_case("CL-arfq", "general",
-       "where cevians to F rule a quadric, so do those of a^r F^q for "
-       "(r, q) in {(1,1), (2,1), (0,2), (-2,1)}", 50)
-def _cl_arfq(case, n, seed, catalog):
-    result = CaseResult(case.id, PASS, n=n)
-    checked = 0
-    bases = [("general", "POW", Q(2)), ("circumscriptible", "HYP1", Q(1)),
-             ("isodynamic", "X10", None), ("orthocentric", "X19", None)]
-    per = max(1, n // len(bases))
-    for fam, cid, r in bases:
-        entry = catalog[cid]
-        for inst in _instances(fam, per, seed):
-            try:
-                base_v = P.check_hyperbolic(inst, face_points(inst, entry, r=r))
-                if not _verdict_ok_hyperbolic(base_v):
-                    continue
-                for (re_, qe) in ((1, 1), (2, 1), (0, 2), (-2, 1)):
-                    derived = entry.power_scaled(re_, qe)
-                    v = P.check_hyperbolic(inst, face_points(inst, derived, r=r))
-                    if not _verdict_ok_hyperbolic(v):
-                        result.status = FAIL
-                        result.details["failure"] = {"base": cid, "r_exp": re_, "q": qe,
-                                                     "status": v.status}
-                        result.details["failing_instance"] = inst.to_json_dict()
-                        return result
                 checked += 1
-            except EvaluationSingular:
-                continue
-    result.details["bases_confirmed"] = checked
-    return result
+        return _nonvacuous(result, key, checked, "no base center had the property")
+    return run
 
 
-@_case("CL-converse-family", "circumscriptible",
-       "tangent-length center (b+c-a): concurrence on a perturbed instance forces "
-       "the tangent-sum condition", 50)
-def _cl_converse(case, n, seed, catalog):
-    import random
-
-    from .tetrahedron import family_predicate
-
+def _cl_converse(case, n, seed, catalog, pool):
     rng = random.Random(seed)
     entry = catalog["CEV1"]
     result = CaseResult(case.id, PASS, n=n)
     tested = 0
-    for inst in _instances("circumscriptible", n, seed):
+    for inst in _instances(pool, "circumscriptible", n, seed):
         edges = list(inst.edges())
         k = rng.randrange(6)
         edges[k] = edges[k] + Q(rng.randint(1, 9), rng.randint(10, 40))
@@ -1035,8 +546,234 @@ def _cl_converse(case, n, seed, catalog):
             result.status = FAIL
             result.details["failing_instance"] = pert.to_json_dict()
             return result
-    result.details["perturbed_instances_tested"] = tested
-    return result
+    return _nonvacuous(result, "perturbed_instances_tested", tested,
+                       "no perturbed instance was valid")
+
+
+# ---------------------------------------------------------------------
+# the table
+
+_WEIGHTED_NOTE = (
+    "weighted reading (canonical areal values summed without normalization); "
+    "the geometric centroid of the four points does not satisfy the claim")
+
+_NOT_CURATED_NOTE = (
+    "not curated: no reliable formula is known for this id — the extended "
+    "numbering above X101 does not match the public ETC (the X102/X117 "
+    "formulas here name different points than ETC's), and the ETC points of "
+    "the same numbers are bicentric or fail the strict b<->c symmetry the "
+    "expression language enforces")
+
+_CASES = (
+    # arbitrary tetrahedra
+    TheoremCase("T5.1a", "general", "face-centroid central faces parallel to reference faces", 100,
+                _on("X2", _holds(PID.FACES_PARALLEL))),
+    TheoremCase("T5.1b", "general", "face-centroid cevians concur at the reference centroid", 100,
+                _on("X2", _holds(PID.CONCUR, at=_centroid))),
+    TheoremCase("T5.1c", "general", "face-centroid central tetrahedron similar, squared ratio 1/9",
+                100, _on("X2", _holds(PID.SIMILAR_TO_REFERENCE, ratio_squared=Q(1, 9)))),
+    TheoremCase("T5.1d", "general", "face-centroid central centroid = reference centroid", 100,
+                _on("X2", _central_center(SpaceCenterKind.CENTROID, _centroid))),
+    TheoremCase("T5.1e", "general", "face-centroid central circumcenter = reference Euler point",
+                100, _on("X2", _central_center(SpaceCenterKind.CIRCUMCENTER,
+                                               _reference(SpaceCenterKind.EULER)))),
+    TheoremCase("T5.1f", "general",
+                "face-centroid central Monge on reference Euler line at t = 2/3", 100,
+                _on("X2", _central_on_euler(SpaceCenterKind.MONGE, Q(2, 3)))),
+    TheoremCase("T5.1g", "general",
+                "face-centroid central Euler point on reference Euler line at t = 8/9", 100,
+                _on("X2", _central_on_euler(SpaceCenterKind.EULER, Q(8, 9)))),
+    TheoremCase("T5.1h", "general", "reference circumcenter on the central Euler line at t = 4",
+                100, _on("X2", _reference_on_euler(SpaceCenterKind.CIRCUMCENTER, Q(4)))),
+    TheoremCase("T5.1i", "general", "reference Monge point on the central Euler line at t = -2",
+                100, _on("X2", _reference_on_euler(SpaceCenterKind.MONGE, Q(-2)))),
+    TheoremCase("T5.2", "general",
+                "normals at face circumcenters concur at the reference circumcenter", 100,
+                _on("X3", _holds(PID.NORMALS_CONCUR,
+                                 at=_reference(SpaceCenterKind.CIRCUMCENTER)))),
+    TheoremCase("T5.3", "general",
+                "power-point cevians rule a quadric for r in {-2,-1,0,1,2,3}; center payload "
+                "permutation-invariant", 50, _t53),
+    TheoremCase("T5.4", "general",
+                "2a^r+b^r+c^r points: formula-weighted vertex combination = reference centroid "
+                "(r in {1,2})", 100, _weighted_sum("Z8", _centroid, "trilinear", rs=(1, 2)),
+                notes=("weighted reading (bare symmetric values summed); the geometric "
+                       "centroid of the four points differs from the reference centroid on "
+                       "generic instances",)),
+    # isosceles
+    TheoremCase("T6a", "isosceles", "every catalog center: the four cevians have equal length",
+                20, _holds(PID.EQUAL_CEVIANS), _isosceles_catalog_case),
+    TheoremCase("T6b", "isosceles", "every catalog center: the central tetrahedron is isosceles",
+                20, _holds(PID.CENTRAL_ISOSCELES), _isosceles_catalog_case),
+    TheoremCase("T6c", "isosceles", "every catalog center: central centroid = reference centroid",
+                20, _central_center(SpaceCenterKind.CENTROID, _centroid),
+                _isosceles_catalog_case),
+    TheoremCase("T6d", "isosceles",
+                "every catalog center: the cevians rule a quadric (spear identity exact)", 20,
+                _ruled, _isosceles_catalog_case),
+    # circumscriptible
+    TheoremCase("T7a", "circumscriptible",
+                "Gergonne cevians concur; point reciprocal in the four tangent lengths "
+                "(4th coordinate the stated triple product)", 100,
+                _on("X7", _holds(PID.CONCUR, at=_reciprocal(_tangent_lengths)))),
+    TheoremCase("T7b", "circumscriptible",
+                "Nagel cevians concur; 4th coordinate proportional to a1+a2+a3-2t (factor -1)",
+                100, _on("X8", _holds(PID.CONCUR, at=_direct(_tangent_lengths))),
+                notes=("stated polynomial a1+a2+a3-2t matches with constant ratio -1",)),
+    TheoremCase("T7c", "circumscriptible", "the four Feuerbach points are coplanar", 100,
+                _on("X11", _holds(PID.COPLANAR))),
+    TheoremCase("T7d", "circumscriptible", "normals at the incenters concur", 100,
+                _on("X1", _holds(PID.NORMALS_CONCUR))),
+    TheoremCase("T7e", "circumscriptible", "normals at the X40 (Bevan) points concur", 100,
+                _on("X40", _holds(PID.NORMALS_CONCUR))),
+    _quadric_case("T7.2a", "circumscriptible", "X7", "Gergonne"),
+    _quadric_case("T7.2b", "circumscriptible", "X8", "Nagel"),
+    _quadric_case("T7.2c", "circumscriptible", "X9", "Mittenpunkt"),
+    _quadric_case("T7.2d", "circumscriptible", "X41"),
+    _quadric_case("T7.2e", "circumscriptible", "X11", "Feuerbach"),
+    # isodynamic
+    TheoremCase("T8.1a", "isodynamic",
+                "power-point cevians concur for r in {-1,0,1,2}; point follows the "
+                "(t a_i)^(r+1) pattern; the stated a1 a2^(r+1) a3 coordinate is recorded, "
+                "not asserted", 100, runner=_t81a,
+                notes=("the classically stated 4th coordinate is asymmetric in a1, a3 and "
+                       "does not match; the verified pattern is ((t a1)^q, (t a2)^q, "
+                       "(t a3)^q, (a1 a2 a3)^q), q = r+1",)),
+    TheoremCase("T8.1b", "isodynamic", "the four Feuerbach points are coplanar", 100,
+                _on("X11", _holds(PID.COPLANAR))),
+    TheoremCase("T8.1c", "isodynamic", "the four X44 points are coplanar", 100,
+                _on("X44", _holds(PID.COPLANAR))),
+    TheoremCase("T8.1d", "isodynamic", "the four face symmedian axes (trilinear polars of the "
+                "symmedian points) are coplanar", 100, _t81d,
+                notes=("embedding assumption: the face line x/a^2+y/b^2+z/c^2=0 is mapped "
+                       "through two of its points per the face coordinate displays",)),
+    TheoremCase("T8.1e", "isodynamic",
+                "circumcenter of the X76 points = reference centroid (does not reproduce)", 100,
+                _on("X76", _central_center(SpaceCenterKind.CIRCUMCENTER, _centroid)),
+                notes=("claim does not hold under exact arithmetic for X76 = isotomic "
+                       "conjugate of the symmedian point (trilinear 1/a^3); no power point "
+                       "a^r (r in -12..12), no catalog center or conjugate, and neither the "
+                       "geometric, formula-weighted nor raw-distance circumcenter reading "
+                       "satisfies it; kept red deliberately",),
+                expected_to_fail=True),
+    _quadric_case("T8.2a", "isodynamic", "X10", "Spieker"),
+    _quadric_case("T8.2b", "isodynamic", "X37"),
+    _quadric_case("T8.2c", "isodynamic", "X38"),
+    _quadric_case("T8.2d", "isodynamic", "X39", "Brocard-midpoint"),
+    _quadric_case("T8.2e", "isodynamic", "X42"),
+    *(TheoremCase(f"T8.2{letter}", "isodynamic",
+                  f"X{k} cevians rule a quadric (center formula not curated)", 100,
+                  runner=lambda case, *_: CaseResult(case.id, SKIP, n=0),
+                  notes=(_NOT_CURATED_NOTE,))
+      for k, letter in zip(range(106, 112), "fghijk")),
+    # orthocentric
+    TheoremCase("T9.1a", "orthocentric",
+                "orthocenter cevians concur; point reciprocal in the squared-edge complements "
+                "(4th coordinate the stated triple product)", 100,
+                _on("X4", _holds(PID.CONCUR, at=_reciprocal(_squared_tangent_lengths)))),
+    TheoremCase("T9.1b", "orthocentric",
+                "isotomic conjugates of the orthocenters concur; 4th coordinate proportional "
+                "to a1^2+a2^2+a3^2-2t (factor -1)", 100,
+                _on("X69", _holds(PID.CONCUR, at=_direct(_squared_tangent_lengths)))),
+    TheoremCase("T9.1c", "orthocentric",
+                "nine-point centers: formula-weighted combination = reference centroid", 100,
+                _weighted_sum("X5", _centroid), notes=(_WEIGHTED_NOTE,)),
+    TheoremCase("T9.1d", "orthocentric",
+                "orthocenters: formula-weighted combination = reference Monge point", 100,
+                _weighted_sum("X4", _reference(SpaceCenterKind.MONGE)), notes=(_WEIGHTED_NOTE,)),
+    TheoremCase("T9.1e", "orthocentric",
+                "circumcenter of the orthocenters lies on the reference Euler line "
+                "(it is the reference Euler point, t = 4/3)", 100,
+                _on("X4", _central_on_euler(SpaceCenterKind.CIRCUMCENTER, Q(4, 3)))),
+    TheoremCase("T9.1f", "orthocentric",
+                "Monge point of the orthocenters (weighted centroid doubled less the "
+                "circumcenter) lies on the reference Euler line at t = 8/3", 100, _t91f,
+                notes=("reproduces with the weighted centroid; the geometric central Monge "
+                       "point is not on the line",)),
+    TheoremCase("T9.1g", "orthocentric",
+                "X53 points: formula-weighted combination = reference Monge point", 100,
+                _weighted_sum("X53", _reference(SpaceCenterKind.MONGE)),
+                notes=(_WEIGHTED_NOTE,)),
+    TheoremCase("T9.2a", "orthocentric", "normals at the circumcenters concur", 100,
+                _on("X3", _holds(PID.NORMALS_CONCUR))),
+    TheoremCase("T9.2b", "orthocentric", "normals at the centroids concur", 100,
+                _on("X2", _holds(PID.NORMALS_CONCUR))),
+    TheoremCase("T9.2c", "orthocentric", "normals at the orthocenters concur", 100,
+                _on("X4", _holds(PID.NORMALS_CONCUR))),
+    TheoremCase("T9.2d", "orthocentric", "normals at the nine-point centers concur", 100,
+                _on("X5", _holds(PID.NORMALS_CONCUR))),
+    TheoremCase("T9.2e", "orthocentric", "normals at the de Longchamps points concur", 100,
+                _on("X20", _holds(PID.NORMALS_CONCUR))),
+    _quadric_case("T9.3a", "orthocentric", "X3", "circumcenter", conjugates=False),
+    _quadric_case("T9.3b", "orthocentric", "X19", "Clawson (crucial) point"),
+    _quadric_case("T9.3c", "orthocentric", "X25", conjugates=False),
+    _quadric_case("T9.3d", "orthocentric", "X48"),
+    # harmonic
+    TheoremCase("T10.1a", "harmonic", "the four Feuerbach points are coplanar", 100,
+                _on("X11", _holds(PID.COPLANAR))),
+    TheoremCase("T10.1b", "harmonic", "X117 cevians and those of its isotomic conjugate concur",
+                100, _t101b,
+                notes=("the isotomic conjugate is computed directly; it is classically "
+                       "labeled X102, but the X102 formula a*(1/b+1/c-1/a) is a different "
+                       "(also concurring) member of the same family",)),
+    _quadric_case("T10.2a", "harmonic", "X43"),
+    _quadric_case("T10.2b", "harmonic", "X102", conjugates=False),
+    _quadric_case("T10.2c", "harmonic", "X117", conjugates=False),
+    # planarity determinant and Tabov conditions
+    TheoremCase("T12.1", "circumscriptible",
+                "Feuerbach determinant vanishes and the Feuerbach points are coplanar on all "
+                "families it covers (tangent/product/reciprocal/shifted-product)", 50,
+                runner=_t121),
+    TheoremCase("T12.2", "isosceles",
+                "no catalog center keeps its four face points coplanar on all isosceles "
+                "instances (falsification search succeeds for every center)", 1, runner=_t122),
+    TheoremCase("T13.1", "general",
+                "normals at points of faces 1 and 2 meet exactly when the squared-distance "
+                "sums balance (both directions, constructed points)", 200, runner=_t131),
+    # closure invariants
+    TheoremCase("CL-isotomic", "circumscriptible",
+                "where cevians to a center concur, cevians to its isotomic conjugate concur", 50,
+                runner=_closure([("circumscriptible", "X7"), ("circumscriptible", "X8"),
+                                 ("orthocentric", "X4"), ("harmonic", "X117"), ("general", "X2")],
+                                lambda entry, r: [("isotomic", entry.isotomic(), r)])),
+    TheoremCase("CL-isogonal", "general",
+                "where cevians to a center rule a quadric, so do those of its isogonal "
+                "conjugate", 50,
+                runner=_closure([("general", "POW:2"), ("circumscriptible", "X7"),
+                                 ("isodynamic", "X10"), ("orthocentric", "X19")],
+                                lambda entry, r: [("isogonal", entry.isogonal(), r)],
+                                PID.HYPERBOLIC)),
+    TheoremCase("CL-power", "circumscriptible",
+                "where cevians to a center concur, cevians to its r-th power concur "
+                "(r in {2,3,-1})", 50,
+                runner=_closure([("circumscriptible", "CEV1:1")],
+                                lambda entry, r: [(f"r={k}", entry, Q(k)) for k in (2, 3, -1)],
+                                key="instances_confirmed")),
+    TheoremCase("CL-arfq", "general",
+                "where cevians to F rule a quadric, so do those of a^r F^q for "
+                "(r, q) in {(1,1), (2,1), (0,2), (-2,1)}", 50,
+                runner=_closure([("general", "POW:2"), ("circumscriptible", "HYP1:1"),
+                                 ("isodynamic", "X10"), ("orthocentric", "X19")],
+                                lambda entry, r: [(f"a^{k} F^{q}", entry.power_scaled(k, q), r)
+                                                  for k, q in ((1, 1), (2, 1), (0, 2), (-2, 1))],
+                                PID.HYPERBOLIC, "bases_confirmed")),
+    TheoremCase("CL-converse-family", "circumscriptible",
+                "tangent-length center (b+c-a): concurrence on a perturbed instance forces "
+                "the tangent-sum condition", 50, runner=_cl_converse),
+)
+
+_REGISTRY: dict[str, TheoremCase] = {case.id: case for case in _CASES}
+
+
+def registry() -> dict[str, TheoremCase]:
+    return dict(_REGISTRY)
+
+
+def get_case(case_id: str) -> TheoremCase:
+    try:
+        return _REGISTRY[case_id]
+    except KeyError:
+        raise UnknownId(f"no theorem case {case_id!r}") from None
 
 
 # ---------------------------------------------------------------------
@@ -1048,11 +785,17 @@ def verify_cases(case_ids, n: int | None = None, seed: int = 0,
     """Run the given cases (or all); returns a canonical report object."""
     catalog = catalog or builtin_catalog()
     ids = sorted(_REGISTRY) if case_ids in (None, "all") else list(case_ids)
+    cases = [get_case(cid) for cid in ids]
+    pool = {}
+    # generate each family once, at the largest size a table row needs;
+    # bespoke runners then take prefixes of the same lists
+    for case in sorted(cases, key=lambda c: c.n_default, reverse=True):
+        if case.runner is None:
+            _instances(pool, case.family, case.n_default if n is None else n, seed)
     results = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "expected_fail": 0}
-    for cid in ids:
-        case = get_case(cid)
-        res = case.run(n=n, seed=seed, catalog=catalog)
+    for case in cases:
+        res = case.run(n=n, seed=seed, catalog=catalog, pool=pool)
         entry = res.to_json_obj(case.description)
         entry["family"] = case.family
         if case.expected_to_fail:

@@ -7,6 +7,7 @@ reproduce under exact arithmetic; it is asserted as stated and marked as
 an expected failure rather than weakened — see the registry notes.
 """
 
+import hashlib
 import json
 import random
 
@@ -23,6 +24,7 @@ from tetrascreen.errors import TetraScreenError
 from tests.oracles import cartesian_of, embed_tetra, sq_dist_cartesian
 
 SEED = 7
+REGISTRY_SHA256 = "cbeaa65bab6cfc050217cff0a3fb3f152cc818ec7b062b8f3312dc2139da4ce8"
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,12 @@ def test_criterion_14_determinism(registry_report, tmp_path):
     assert main(["verify", "all", "-n", "2", "--seed", str(SEED), "--out", str(f1)]) == 0
     assert main(["verify", "all", "-n", "2", "--seed", str(SEED), "--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_registry_report_digest(registry_report):
+    """The seed-7 report, serialized as `verify --out` writes it, is pinned."""
+    text = json.dumps(registry_report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REGISTRY_SHA256
 
 
 def test_acceptance_summary(registry_report):

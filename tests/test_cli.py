@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tetrascreen.cli import main
 
 RUN = [sys.executable, "-m", "tetrascreen.cli"]
@@ -117,3 +119,22 @@ class TestHunt:
                      "--seed", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["claim_supported"] is True
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("args", [
+        ["gen", "--family", "general", "-n", "0"],
+        ["screen", "--family", "general", "--centers", "X2", "--properties", "1", "-n", "0"],
+        ["verify", "all", "-n", "0"],
+        ["verify", "T13.1", "-n", "-3"],
+        ["hunt", "centroid-uniqueness", "--budget", "0"],
+        ["hunt", "conjecture-central-isosceles", "--budget", "-1"],
+        ["verify", "all", "-n", "many"],
+    ])
+    def test_count_below_one_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument" in captured.err
+        assert captured.out == ""

@@ -7,7 +7,7 @@ from tetrascreen import properties as P
 from tetrascreen import scalar as S
 from tetrascreen import tetrahedron as M
 from tetrascreen._backend import Q
-from tetrascreen.errors import TetraScreenError
+from tetrascreen.errors import TetraScreenError, Undecided
 
 A1, A2, A3, A4 = G.VERTICES
 CENTROID = G.TetraPoint(Q(1), Q(1), Q(1), Q(1))
@@ -325,6 +325,19 @@ class TestFacesParallelAndCevians:
     def test_vertices_trivially_parallel(self, general):
         assert P.check_faces_parallel(general[0], list(G.VERTICES)).status == P.HOLDS_EXACT
 
+    def test_degenerate_central_face_skips(self, general):
+        midpoint = G.TetraPoint(Q(1), Q(1), Q(0), Q(0))
+        v = P.check_faces_parallel(general[0], [A1, A2, midpoint, A4])
+        assert v.status == P.SKIPPED
+
+    def test_programming_error_propagates(self, general, monkeypatch):
+        def broken(*points):
+            raise TypeError("broken plane")
+
+        monkeypatch.setattr(G, "plane_through_3", broken)
+        with pytest.raises(TypeError):
+            P.check_faces_parallel(general[0], list(G.VERTICES))
+
     def test_equal_cevians_on_isosceles_fail_on_scalene(self, catalog, general):
         iso = M.generate(M.TetraFamily.ISOSCELES, seed=209, count=1)[0]
         assert P.check_equal_cevians(iso, M.face_points(iso, catalog["X7"])).status == P.HOLDS_EXACT
@@ -352,6 +365,23 @@ class TestSpaceCenterRelations:
         inst = M.generate(M.TetraFamily.ISOSCELES, seed=210, count=1)[0]
         rel = P.check_space_center_relations(inst, M.face_points(inst, catalog["X7"]))
         assert rel[P.PropertyId.CENTRAL_CENTER_ON_REF_EULER].status == P.SKIPPED
+
+
+class TestEulerMembershipErrors:
+    class _Point:
+        def __init__(self, exc):
+            self.exc = exc
+
+        def proj_eq(self, other):
+            raise self.exc
+
+    def test_undecided_comparison_reads_undecided(self):
+        o = self._Point(Undecided("straddles zero"))
+        assert P._euler_membership(o, CENTROID, {}, "line").status == P.UNDECIDED
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(TypeError):
+            P._euler_membership(self._Point(TypeError("bug")), CENTROID, {}, "line")
 
 
 class TestClosures:

@@ -1,0 +1,55 @@
+from collections import Counter
+
+import pytest
+
+from tetrascreen import properties as P
+from tetrascreen import theorems as TH
+from tetrascreen.errors import EvaluationSingular
+
+
+def test_registry_has_71_distinct_cases():
+    assert len(TH._CASES) == len(TH.registry()) == 71
+
+
+def test_run_rejects_counts_below_one():
+    with pytest.raises(ValueError):
+        TH.get_case("T5.1b").run(n=0)
+    with pytest.raises(ValueError):
+        TH.get_case("T13.1").run(n=-3)
+
+
+def test_closure_that_confirms_nothing_fails(monkeypatch):
+    monkeypatch.setattr(P, "check_concurrence", lambda e, points: P.Verdict(P.FAILS))
+    res = TH.get_case("CL-power").run(n=3, seed=1)
+    assert res.status != TH.PASS
+    assert res.details["instances_confirmed"] == 0
+
+
+def test_catalog_case_that_checks_nothing_fails(monkeypatch):
+    def singular(*args, **kwargs):
+        raise EvaluationSingular(face=1)
+
+    monkeypatch.setattr(TH, "face_points", singular)
+    res = TH.get_case("T6a").run(n=1, seed=1)
+    assert res.status == TH.FAIL
+    assert res.details["cells_checked"] == 0
+
+
+def test_one_verify_run_generates_each_family_once(monkeypatch):
+    calls = Counter()
+    original = TH.generate
+
+    def counting(family, seed, count, *args, **kwargs):
+        calls[family.value] += 1
+        return original(family, seed, count, *args, **kwargs)
+
+    monkeypatch.setattr(TH, "generate", counting)
+    ids = ["CL-arfq", "CL-power", "T7a", "T7c", "T9.2a"]
+    report = TH.verify_cases(ids, n=4, seed=3)
+    assert set(calls.values()) == {1}
+    assert set(calls) == {"general", "circumscriptible", "isodynamic", "orthocentric"}
+    # sharing the instance lists changes no result
+    for entry in report["cases"]:
+        alone = TH.get_case(entry["id"]).run(n=4, seed=3)
+        assert (alone.status, alone.details, alone.notes) == (
+            entry["status"], entry["details"], entry["notes"])
