@@ -37,6 +37,11 @@ def is_rational(x) -> bool:
     return isinstance(x, (Fraction, int))
 
 
+def as_q(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is (it is immutable)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def numden(x) -> tuple[int, int]:
     return int(x.numerator), int(x.denominator)
 

@@ -121,6 +121,9 @@ class Catalog:
     def __init__(self, entries=()):
         self._entries: list[CatalogEntry] = []
         self._index: dict[str, CatalogEntry] = {}
+        # conjugate entries built on lookup, kept so that one id keeps one
+        # expression tree (and one compiled program per r)
+        self._conjugates: dict[str, CatalogEntry] = {}
         for e in entries:
             self.add(e)
 
@@ -141,11 +144,13 @@ class Catalog:
 
     def __getitem__(self, id: str) -> CatalogEntry:
         base, sep, suffix = id.partition("^")
-        if sep and base in self._index:
-            if suffix == "T":
-                return self._index[base].isotomic()
-            if suffix == "-1":
-                return self._index[base].isogonal()
+        if sep and base in self._index and suffix in ("T", "-1"):
+            entry = self._conjugates.get(id)
+            if entry is None:
+                entry = self._index[base]
+                entry = self._conjugates[id] = (entry.isotomic() if suffix == "T"
+                                                else entry.isogonal())
+            return entry
         try:
             return self._index[id]
         except KeyError:

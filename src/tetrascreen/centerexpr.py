@@ -26,6 +26,8 @@ exact arithmetic.
 from __future__ import annotations
 
 import random
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -435,6 +437,182 @@ def eval_tree(node: Node, env: dict, exact: bool = True, bits: int = S.DEFAULT_B
     if isinstance(node, Neg):
         return -eval_tree(node.operand, env, exact, bits)
     raise TypeError(node)
+
+
+# --- compilation -------------------------------------------------------
+#
+# A K-free tree at an integer r is a rational function of (a, b, c).  It
+# compiles to one straight-line Python function over integers: the sides
+# arrive as numerators a, b, c over a common denominator L, and every
+# intermediate value is a (numerator, denominator) pair with no per-step
+# gcd.  While a subtree is a polynomial its denominator is a power of L
+# known at compile time, so only its numerator is computed; other
+# denominators are runtime products.  The statements follow the tree
+# walk's post-order and raise where it raises, with the same messages.
+# Every emitted token comes from the emitter: int literals and fixed names.
+
+
+class _Emitter:
+    def __init__(self, r):
+        self.r = r
+        self.lines = []
+        self.powers = set()     # exponents e > 1 whose L**e the body reads
+        self.names = {}         # emitted right-hand side -> its variable
+        self.nonzero = set()    # variables already tested against zero
+
+    def tmp(self, expr: str) -> str:
+        """A variable holding `expr`; values are immutable ints, so an
+        expression emitted before is reused."""
+        if expr.isidentifier():
+            return expr
+        name = self.names.get(expr)
+        if name is None:
+            name = self.names[expr] = f"t{len(self.names) + 1}"
+            self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def require_nonzero(self, n: str, error: str):
+        # a repeated test is unreachable: the first one already raised
+        if n not in self.nonzero:
+            self.nonzero.add(n)
+            self.lines.append(f"    if {n} == 0: raise {error}")
+
+    def den(self, d) -> str:
+        """Source of a denominator: an L exponent (int) or a variable."""
+        if isinstance(d, str):
+            return d
+        if d > 1:
+            self.powers.add(d)
+            return f"L{d}"
+        return "L" if d == 1 else "1"
+
+    def times_den(self, num: str, d) -> str:
+        return num if d == 0 else f"{num} * {self.den(d)}"
+
+    def general(self, n, d):
+        """A value as two runtime names (numerator, denominator)."""
+        return n, (d if isinstance(d, str) else self.tmp(self.den(d)))
+
+    def value(self, node: Node, names: dict):
+        """Emit `node`; returns (numerator source, denominator) where the
+        denominator is an int exponent of L or a variable name."""
+        if isinstance(node, Num):
+            return f"({int(node.value)})", 0
+        if isinstance(node, Sym):
+            if node.name == "r":
+                return f"({self.r})", 0
+            return names[node.name], 1
+        if isinstance(node, Neg):
+            n, d = self.value(node.operand, names)
+            return self.tmp(f"-{n}"), d
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            n1, d1 = self.value(node.left, names)
+            n2, d2 = self.value(node.right, names)
+            if isinstance(node, Div):
+                self.require_nonzero(n2, "DivisionByZero('rational division by zero')")
+                if isinstance(d1, int) and isinstance(d2, int):
+                    e = min(d1, d2)
+                    return (self.tmp(self.times_den(n1, d2 - e)),
+                            self.tmp(self.times_den(n2, d1 - e)))
+                n1, d1 = self.general(n1, d1)
+                n2, d2 = self.general(n2, d2)
+                return self.tmp(f"{n1} * {d2}"), self.tmp(f"{d1} * {n2}")
+            if isinstance(node, Mul):
+                if isinstance(d1, int) and isinstance(d2, int):
+                    return self.tmp(f"{n1} * {n2}"), d1 + d2
+                n1, d1 = self.general(n1, d1)
+                n2, d2 = self.general(n2, d2)
+                return self.tmp(f"{n1} * {n2}"), self.tmp(f"{d1} * {d2}")
+            op = "+" if isinstance(node, Add) else "-"
+            if isinstance(d1, int) and isinstance(d2, int):
+                e = max(d1, d2)
+                return (self.tmp(f"{self.times_den(n1, e - d1)} {op} "
+                                 f"{self.times_den(n2, e - d2)}"), e)
+            n1, d1 = self.general(n1, d1)
+            n2, d2 = self.general(n2, d2)
+            return self.tmp(f"{n1} * {d2} {op} {n2} * {d1}"), self.tmp(f"{d1} * {d2}")
+        if isinstance(node, (Pow, PowR)):
+            k = node.exponent if isinstance(node, Pow) else int(self.r)
+            n, d = self.value(node.base, names)
+            if k >= 0:
+                if isinstance(d, int):
+                    return self.tmp(f"{n} ** {k}"), d * k
+                return self.tmp(f"{n} ** {k}"), self.tmp(f"{d} ** {k}")
+            self.require_nonzero(n, "EvaluationSingular('negative power of zero')")
+            if isinstance(d, int):
+                return self.den(-d * k), self.tmp(f"{n} ** {-k}")
+            return self.tmp(f"{d} ** {-k}"), self.tmp(f"{n} ** {-k}")
+        raise TypeError(node)
+
+
+_ROTATIONS = ({"a": "a", "b": "b", "c": "c"},
+              {"a": "b", "b": "c", "c": "a"},
+              {"a": "c", "b": "a", "c": "b"})
+
+
+def compile_rational(node: Node, r=None):
+    """Compile a K-free tree at an integer (or absent) r into a function
+    (a, b, c, L) -> (f(a,b,c), f(b,c,a), f(c,a,b)) of Fractions, where the
+    sides are a/L, b/L, c/L with integer numerators.  Returns None when
+    the tree needs the tree walk: it uses K, or r is fractional, or r is
+    used but not given."""
+    if uses_symbol(node, "K"):
+        return None
+    if r is None:
+        if uses_symbol(node, "r"):
+            return None
+    elif Q(r).denominator != 1:
+        return None
+    em = _Emitter(None if r is None else int(Q(r)))
+    results = []
+    for names in _ROTATIONS:
+        n, d = em.value(node, names)
+        results.append(f"Fraction({n}, {em.den(d)})")
+    head = [f"    L{e} = L ** {e}" for e in sorted(em.powers)]
+    source = "\n".join(["def center(a, b, c, L):", *head, *em.lines,
+                        f"    return ({', '.join(results)})"])
+    module = compile(source, "<center program>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    return types.FunctionType(code, _PROGRAM_GLOBALS)
+
+
+# the only names a program reads; one dict shared by all programs
+_PROGRAM_GLOBALS = {"Fraction": Q, "DivisionByZero": DivisionByZero,
+                    "EvaluationSingular": EvaluationSingular}
+
+
+class _TreeRef(weakref.ref):
+    """Weak reference to a tree that carries its compiled programs by r."""
+
+    __slots__ = ("key", "programs")
+
+    def __init__(self, node, callback):
+        super().__init__(node, callback)
+        self.key = id(node)
+        self.programs = {}
+
+
+def _forget_tree(ref: _TreeRef):
+    if _trees.get(ref.key) is ref:
+        del _trees[ref.key]
+
+
+_trees: dict = {}   # id(tree) -> _TreeRef, while the tree lives
+
+
+def rational_program(node: Node, r=None):
+    """compile_rational, memoized per (live tree, r).
+
+    Keyed by the tree's identity, not its value: hashing a tree walks it.
+    The programs go when the tree is freed.
+    """
+    ref = _trees.get(id(node))
+    if ref is None or ref() is not node:
+        ref = _trees[id(node)] = _TreeRef(node, _forget_tree)
+    r = None if r is None else Q(r)
+    if r not in ref.programs:
+        ref.programs[r] = compile_rational(node, r)
+    return ref.programs[r]
 
 
 # --- validation --------------------------------------------------------

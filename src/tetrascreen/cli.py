@@ -41,25 +41,36 @@ def _load_catalog(path):
     return cat
 
 
-def _parse_properties(text: str):
-    if text in (None, "", "all"):
+def _property_list(text: str):
+    """argparse type for --properties: 'all', or a comma list of property
+    numbers 1-16 or names."""
+    if text in ("", "all"):
         return [P.PropertyId(i) for i in range(1, 17)]
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if tok.isdigit():
-            out.append(P.PropertyId(int(tok)))
-        else:
-            out.append(P.PropertyId[tok.upper().replace("-", "_")])
+        try:
+            out.append(P.PropertyId(int(tok)) if tok.isdigit()
+                       else P.PropertyId[tok.upper().replace("-", "_")])
+        except (ValueError, KeyError):
+            raise argparse.ArgumentTypeError(
+                f"unknown property {tok!r} (use numbers 1-16 or names)") from None
     return out
 
 
-def _parse_centers(text: str, catalog):
-    if text in (None, "", "all"):
-        return SC.default_hunt_specs(catalog)
+def _center_list(text: str):
+    """argparse type for --centers: None for 'all' (the whole catalog),
+    else the CenterSpec of each comma-separated `ID[:r]`."""
+    if text in ("", "all"):
+        return None
     specs = []
     for tok in text.split(","):
-        cid, r = parse_center_spec(tok.strip())
+        try:
+            cid, r = parse_center_spec(tok.strip())
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"bad center {tok.strip()!r} (use ID or ID:r with r an integer "
+                "or a quotient)") from None
         specs.append(CenterSpec(cid, r))
     return specs
 
@@ -90,8 +101,8 @@ def cmd_screen(args) -> int:
     catalog = _load_catalog(args.catalog)
     plan = ScreenPlan(
         family=TetraFamily(args.family),
-        centers=_parse_centers(args.centers, catalog),
-        properties=_parse_properties(args.properties),
+        centers=SC.default_hunt_specs(catalog) if args.centers is None else args.centers,
+        properties=args.properties,
         count=args.n,
         seed=args.seed,
         mode_policy="prefilter" if args.prefilter else "exact",
@@ -186,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("screen", help="run a (family x centers x properties) matrix")
     s.add_argument("--family", required=True, choices=families)
-    s.add_argument("--centers", default="all",
+    s.add_argument("--centers", type=_center_list, default="all",
                    help="comma list of ids, ID:r for parametric (default: whole catalog)")
-    s.add_argument("--properties", default="all",
+    s.add_argument("--properties", type=_property_list, default="all",
                    help="comma list of property numbers 1-16 or names (default: all)")
     s.add_argument("-n", type=_positive_int, default=20)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--precision-bits", type=int, default=1024)
+    s.add_argument("--precision-bits", type=_positive_int, default=1024)
     s.add_argument("--prefilter", action="store_true",
                    help="screen through 64-bit interval edges before exact confirmation")
     s.add_argument("--catalog", default=None, help="extra catalog file to merge")

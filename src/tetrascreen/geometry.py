@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import scalar as S
-from ._backend import Q, is_rational
+from ._backend import Q, as_q, is_rational
 from .errors import (
     CollinearPoints,
     DegenerateRatio,
@@ -141,13 +142,37 @@ class TetraPoint:
     def coord_sum(self):
         return self.x + self.y + self.z + self.w
 
-    def normalized(self) -> "TetraPoint":
-        s = self.coord_sum()
-        if S.sign(s) == 0:
-            raise PointAtInfinity("coordinate sum is zero")
-        if S.is_exact(s) and s == 1:
+    @cached_property
+    def int_form(self):
+        """(ints, sum, scale) for exact coordinates: the coordinates times
+        `scale`, the lcm of their denominators, and the sum of those
+        integers.  None when a coordinate is an interval."""
+        x, y, z, w = self.x, self.y, self.z, self.w
+        if not (is_rational(x) and is_rational(y) and is_rational(z) and is_rational(w)):
+            return None
+        dx, dy, dz, dw = x.denominator, y.denominator, z.denominator, w.denominator
+        scale = math.lcm(dx, dy, dz, dw)
+        ints = (x.numerator * (scale // dx), y.numerator * (scale // dy),
+                z.numerator * (scale // dz), w.numerator * (scale // dw))
+        return ints, ints[0] + ints[1] + ints[2] + ints[3], scale
+
+    @cached_property
+    def _normalized(self) -> "TetraPoint":
+        (x, y, z, w), s, scale = self.int_form
+        if s == scale:
             return self
-        return TetraPoint(*(S.div(c, s) for c in self.tuple()))
+        return TetraPoint(Q(x, s), Q(y, s), Q(z, s), Q(w, s))
+
+    def normalized(self) -> "TetraPoint":
+        form = self.int_form
+        if form is None:
+            s = self.coord_sum()
+            if S.sign(s) == 0:
+                raise PointAtInfinity("coordinate sum is zero")
+            return TetraPoint(*(S.div(c, s) for c in self.tuple()))
+        if form[1] == 0:
+            raise PointAtInfinity("coordinate sum is zero")
+        return self._normalized
 
     def proj_eq(self, other: "TetraPoint") -> bool:
         u, v = self.tuple(), other.tuple()
@@ -262,7 +287,7 @@ class EdgeMetric:
 
     def __post_init__(self):
         for name in ("a1_sq", "a2_sq", "a3_sq", "b1_sq", "b2_sq", "b3_sq"):
-            v = Q(getattr(self, name))
+            v = as_q(getattr(self, name))
             if v <= 0:
                 raise InvalidTetrahedron("squared edge lengths must be positive")
             object.__setattr__(self, name, v)
@@ -273,6 +298,14 @@ class EdgeMetric:
 
     def tuple(self):
         return (self.a1_sq, self.a2_sq, self.a3_sq, self.b1_sq, self.b2_sq, self.b3_sq)
+
+    @cached_property
+    def int_form(self):
+        """(D, L): D[k] = L * sq(i+1, j+1) for the pairs i < j of 0..3 in
+        lexicographic order, L the lcm of the denominators."""
+        sqs = [self.sq(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        big = math.lcm(*(v.denominator for v in sqs))
+        return tuple(v.numerator * (big // v.denominator) for v in sqs), big
 
     def sq(self, i: int, j: int):
         return self._sq[(i, j) if i < j else (j, i)]
@@ -327,7 +360,24 @@ class EdgeMetric:
 
 def squared_distance(p: TetraPoint, q: TetraPoint, m: EdgeMetric):
     """-sum over i<j of d_ij^2 (X_i - X'_i)(X_j - X'_j), on exact
-    coordinates."""
+    coordinates.
+
+    For exact points with integer forms (P, s_p) and (Q, s_q) this is
+    -sum D_ij n_i n_j / (L (s_p s_q)^2) with n = P s_q - Q s_p and the
+    metric's integer form (D, L): one Fraction, built at the end.
+    """
+    fp, fq = p.int_form, q.int_form
+    if fp is not None and fq is not None and isinstance(m, EdgeMetric):
+        (p0, p1, p2, p3), sp, _ = fp
+        (q0, q1, q2, q3), sq, _ = fq
+        if sp == 0 or sq == 0:
+            raise PointAtInfinity("coordinate sum is zero")
+        n0, n1, n2, n3 = p0 * sq - q0 * sp, p1 * sq - q1 * sp, p2 * sq - q2 * sp, p3 * sq - q3 * sp
+        (d01, d02, d03, d12, d13, d23), big = m.int_form
+        total = (n0 * (d01 * n1 + d02 * n2 + d03 * n3) + n1 * (d12 * n2 + d13 * n3)
+                 + d23 * n2 * n3)
+        scale = sp * sq
+        return Q(-total, big * scale * scale)
     pn, qn = p.normalized(), q.normalized()
     delta = tuple(pn.tuple()[i] - qn.tuple()[i] for i in range(4))
     total = None
@@ -338,8 +388,17 @@ def squared_distance(p: TetraPoint, q: TetraPoint, m: EdgeMetric):
     return -total
 
 
+def points_det4_sign(points) -> int:
+    """Sign of det[p1; p2; p3; p4].  Exact points use their integer
+    forms: each row is scaled by a positive factor, which keeps the sign."""
+    forms = [p.int_form for p in points]
+    if None in forms:
+        return det4_sign([p.tuple() for p in points])
+    return _bareiss_sign([list(f[0]) for f in forms])
+
+
 def coplanar4(p1, p2, p3, p4) -> bool:
-    return det4_sign([p.tuple() for p in (p1, p2, p3, p4)]) == 0
+    return points_det4_sign((p1, p2, p3, p4)) == 0
 
 
 def collinear3(p1, p2, p3) -> bool:

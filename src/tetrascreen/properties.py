@@ -242,10 +242,11 @@ def check_hyperbolic(e: EdgeLengths, points, with_center: bool = True) -> Verdic
 
 
 def check_coplanar(e: EdgeLengths, points) -> Verdict:
-    rows = [p.tuple() for p in points]
-    if all(S.is_exact(x) for row in rows for x in row):
-        return _zero_verdict([Q(G.det4_sign(rows))], labels=["coplanarity determinant sign"])
-    return _zero_verdict([G.det4(rows)], labels=["coplanarity determinant"])
+    if all(p.int_form is not None for p in points):
+        return _zero_verdict([Q(G.points_det4_sign(points))],
+                             labels=["coplanarity determinant sign"])
+    return _zero_verdict([G.det4([p.tuple() for p in points])],
+                         labels=["coplanarity determinant"])
 
 
 def check_collinear(e: EdgeLengths, points) -> Verdict:

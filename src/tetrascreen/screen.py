@@ -425,9 +425,15 @@ def hunt_counterexample(claim: str, budget: int = 1000, seed: int = 0,
     catalog center fail the relevant property on some instance (success
     supports the uniqueness statement; a "survivor" would witness against
     it).  For the conjectures the hunt searches for counterexamples and
-    reports the exhausted budget when none is found.
+    reports the exhausted budget when none is found.  A budget below 1, or
+    a catalog without rational-only centers, would try nothing, so both
+    are refused.
     """
-    catalog = catalog or builtin_catalog()
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    catalog = builtin_catalog() if catalog is None else catalog
+    if not default_hunt_specs(catalog):
+        raise ValueError("the catalog has no rational-only center to hunt with")
     if claim == "centroid-uniqueness":
         return _hunt_uniqueness(catalog, seed, budget, P.PropertyId.CONCUR,
                                 TetraFamily.ISOSCELES, _is_centroid_entry)
@@ -518,6 +524,10 @@ def _hunt_conjecture(claim, catalog, seed, budget) -> dict:
     reference must lie outside the conjectured family."""
     prop, excluded_family = _CONJECTURE_PROPS[claim]
     specs = default_hunt_specs(catalog)
+    if claim == "conjecture-similar-centroid":
+        specs = [s for s in specs if not _is_centroid_entry(catalog[s.id], s.r)]
+    if not specs:
+        raise ValueError(f"no center of the catalog can be tried for {claim}")
     from .tetrahedron import family_predicate
 
     tried = 0
@@ -529,8 +539,6 @@ def _hunt_conjecture(claim, catalog, seed, budget) -> dict:
             if tried >= budget:
                 break
             entry = catalog[spec.id]
-            if claim == "conjecture-similar-centroid" and _is_centroid_entry(entry, spec.r):
-                continue
             tried += 1
             try:
                 verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop,

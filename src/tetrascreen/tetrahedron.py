@@ -116,7 +116,7 @@ class EdgeLengths:
             s1, s2, s3 = self.face_side_triple(i)
             if s1 >= s2 + s3 or s2 >= s3 + s1 or s3 >= s1 + s2:
                 return f"face {i} violates the strict triangle inequality"
-        cm = G.EdgeMetric(*(e * e for e in self.edges())).cayley_menger()
+        cm = self.metric().cayley_menger()
         if cm <= 0:
             return "nonpositive Cayley-Menger determinant (not realizable in 3-space)"
         return None

@@ -98,7 +98,7 @@ class TheoremCase:
         n = self.n_default if n is None else n
         if n < 1:
             raise ValueError(f"instance count must be at least 1, got {n}")
-        catalog = catalog or builtin_catalog()
+        catalog = builtin_catalog() if catalog is None else catalog
         pool = {} if pool is None else pool
         result = (self.runner or _all_instances_pass)(self, n, seed, catalog, pool)
         result.details.update(copy.deepcopy(self.details))
@@ -783,7 +783,7 @@ def get_case(case_id: str) -> TheoremCase:
 def verify_cases(case_ids, n: int | None = None, seed: int = 0,
                  catalog: Catalog | None = None) -> dict:
     """Run the given cases (or all); returns a canonical report object."""
-    catalog = catalog or builtin_catalog()
+    catalog = builtin_catalog() if catalog is None else catalog
     ids = sorted(_REGISTRY) if case_ids in (None, "all") else list(case_ids)
     cases = [get_case(cid) for cid in ids]
     pool = {}

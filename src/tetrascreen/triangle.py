@@ -9,11 +9,12 @@ side lengths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import scalar as S
-from .centerexpr import KValue, Node, eval_tree
-from ._backend import Q
+from .centerexpr import KValue, Node, eval_tree, rational_program
+from ._backend import Q, as_q
 from .errors import (
     DegenerateTriangle,
     DivisionByZero,
@@ -45,13 +46,18 @@ class TriangleSides:
     c: object
 
     def __post_init__(self):
-        a, b, c = Q(self.a), Q(self.b), Q(self.c)
+        a, b, c = as_q(self.a), as_q(self.b), as_q(self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        if min(a, b, c) <= 0:
+        # the sides over their common denominator: (a*L, b*L, c*L, L)
+        big = math.lcm(a.denominator, b.denominator, c.denominator)
+        x, y, z = (a.numerator * (big // a.denominator), b.numerator * (big // b.denominator),
+                   c.numerator * (big // c.denominator))
+        object.__setattr__(self, "int_form", (x, y, z, big))
+        if min(x, y, z) <= 0:
             raise DegenerateTriangle(f"nonpositive side in ({a}, {b}, {c})")
-        if a >= b + c or b >= c + a or c >= a + b:
+        if x >= y + z or y >= z + x or z >= x + y:
             raise DegenerateTriangle(f"triangle inequality fails for ({a}, {b}, {c})")
 
     def sides(self):
@@ -155,11 +161,22 @@ def isogonal_conjugate(p: Areal, sides: TriangleSides) -> Areal:
 def eval_center_raw(expr: Node, sides: TriangleSides, r=None, mode: EvalMode = EXACT):
     """The cyclic value triple (f(a,b,c), f(b,c,a), f(c,a,b)) as scalars.
 
-    Evaluation runs in the ring with K^2 substituted exactly.  A common
+    On exact sides, a K-free center at an integer (or absent) r runs as a
+    compiled integer program (see centerexpr.compile_rational).  Anything
+    else walks the tree in the ring with K^2 substituted exactly.  A common
     factor K across all three values is divided out (projectively valid
     since K > 0); a surviving mixed K makes the result irrational, which
     is an error in exact mode and an interval enclosure otherwise.
     """
+    program = rational_program(expr, r) if isinstance(sides, TriangleSides) else None
+    if program is not None:
+        try:
+            coords = program(*sides.int_form)
+        except DivisionByZero as exc:
+            raise EvaluationSingular(f"zero denominator: {exc}") from exc
+        if not any(coords):
+            raise EvaluationSingular("all three coordinates vanish on this triangle")
+        return coords
     a, b, c = sides.sides()
     k2 = sides.area_squared()
     kv = KValue(Q(0), Q(1), k2)

@@ -138,3 +138,32 @@ class TestCountArguments:
         captured = capsys.readouterr()
         assert "error: argument" in captured.err
         assert captured.out == ""
+
+
+class TestScreenInput:
+    @pytest.mark.parametrize("args", [
+        ["--properties", "17"],
+        ["--properties", "0"],
+        ["--properties", "foo"],
+        ["--properties", "1,,2"],
+        ["--centers", "POW:abc"],
+        ["--centers", "POW:1/0"],
+        ["--precision-bits", "0"],
+        ["--precision-bits", "-8"],
+    ])
+    def test_bad_screen_input_is_a_usage_error(self, args, capsys):
+        # a repeated option overrides the valid one before it
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--family", "general", "--centers", "X2", "--properties", "1",
+                  "-n", "1", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {args[0]}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_properties_by_name_and_number(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["screen", "--family", "isosceles", "--centers", "X2",
+                     "--properties", "concur, 3", "-n", "1", "--out", str(out)]) == 0
+        assert [c["property"] for c in json.loads(out.read_text())["cells"]] == [1, 3]

@@ -129,3 +129,24 @@ class TestHunts:
     def test_unknown_claim(self):
         with pytest.raises(UnknownId):
             SC.hunt_counterexample("no-such-claim")
+
+    @pytest.mark.parametrize("claim", ["centroid-uniqueness", "conjecture-central-isosceles"])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_refused(self, claim, budget):
+        with pytest.raises(ValueError, match="budget"):
+            SC.hunt_counterexample(claim, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("claim", ["centroid-uniqueness", "conjecture-central-isosceles"])
+    def test_empty_catalog_is_refused(self, claim):
+        from tetrascreen.catalog import Catalog
+
+        with pytest.raises(ValueError, match="no rational-only center"):
+            SC.hunt_counterexample(claim, budget=3, seed=0, catalog=Catalog())
+
+    def test_similarity_hunt_without_a_candidate_is_refused(self):
+        from tetrascreen.catalog import Catalog, CatalogEntry
+
+        only_centroid = Catalog([CatalogEntry.from_text("G2", "G2", "trilinear", "1/a", False)])
+        with pytest.raises(ValueError, match="no center of the catalog can be tried"):
+            SC.hunt_counterexample("conjecture-similar-centroid", budget=1, seed=0,
+                                   catalog=only_centroid)

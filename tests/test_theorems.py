@@ -4,6 +4,7 @@ import pytest
 
 from tetrascreen import properties as P
 from tetrascreen import theorems as TH
+from tetrascreen.catalog import Catalog
 from tetrascreen.errors import EvaluationSingular
 
 
@@ -33,6 +34,14 @@ def test_catalog_case_that_checks_nothing_fails(monkeypatch):
     res = TH.get_case("T6a").run(n=1, seed=1)
     assert res.status == TH.FAIL
     assert res.details["cells_checked"] == 0
+
+
+def test_empty_catalog_is_not_swapped_for_the_builtin_one():
+    report = TH.verify_cases(["T6a"], n=1, catalog=Catalog())
+    (case,) = report["cases"]
+    assert case["status"] == TH.FAIL
+    assert case["details"]["cells_checked"] == 0
+    assert TH.get_case("T6a").run(n=1, catalog=Catalog()).details["cells_checked"] == 0
 
 
 def test_one_verify_run_generates_each_family_once(monkeypatch):
