@@ -357,9 +357,6 @@ class KValue:
     def is_pure_rational_part(self) -> bool:
         return S.is_exact(self.v) and self.v == 0
 
-    def is_pure_k_part(self) -> bool:
-        return S.is_exact(self.u) and self.u == 0
-
     def __repr__(self):
         return f"KValue({self.u!r} + {self.v!r}*K)"
 

@@ -10,6 +10,7 @@ nonzero everywhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -105,7 +106,6 @@ def cmd_screen(args) -> int:
         properties=args.properties,
         count=args.n,
         seed=args.seed,
-        mode_policy="prefilter" if args.prefilter else "exact",
         precision_cap=args.precision_bits,
         catalog=catalog,
     )
@@ -132,7 +132,7 @@ def _run_screen_jobs(plan: ScreenPlan, instances, jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     sub_args = [(plan, [spec]) for spec in plan.centers]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(plan.centers))) as pool:
         parts = list(pool.map(_screen_one_center, sub_args))
     cells = [cell for part in parts for cell in part.cells]
     report = SC.ScreenReport(parts[0].plan_echo, cells,
@@ -143,9 +143,7 @@ def _run_screen_jobs(plan: ScreenPlan, instances, jobs: int):
 
 def _screen_one_center(packed):
     plan, specs = packed
-    sub = ScreenPlan(plan.family, specs, plan.properties, plan.count, plan.seed,
-                     plan.mode_policy, plan.precision_cap, plan.catalog)
-    return run_screen(sub)
+    return run_screen(dataclasses.replace(plan, centers=specs))
 
 
 def cmd_verify(args) -> int:
@@ -204,12 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-n", type=_positive_int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--precision-bits", type=_positive_int, default=1024)
-    s.add_argument("--prefilter", action="store_true",
-                   help="screen through 64-bit interval edges before exact confirmation")
     s.add_argument("--catalog", default=None, help="extra catalog file to merge")
     s.add_argument("--instances", default=None,
                    help="JSON instance file (as produced by gen) instead of generating")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_positive_int, default=1)
     s.add_argument("--format", choices=("json", "csv", "md"), default="json")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_screen)

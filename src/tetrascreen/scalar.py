@@ -269,12 +269,12 @@ def sign(x) -> int:
     return -1 if x < 0 else (1 if x > 0 else 0)
 
 
-def is_zero(x, refine_to: int | None = None) -> str:
+def is_zero(x) -> str:
     """Three-way zero test: ZERO / NONZERO / UNDECIDED.
 
     Rationals are decided exactly.  An interval is NONZERO when it excludes
     zero; a straddling interval is UNDECIDED (the caller must re-evaluate
-    the originating expression at higher precision, up to `refine_to`).
+    the originating expression at higher precision).
     """
     if isinstance(x, Interval):
         if not x.contains_zero():

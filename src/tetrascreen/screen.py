@@ -1,5 +1,7 @@
 """Screening engine: run (family x center x property) matrices over seeded
-random instances, with an interval prefilter and exact confirmation.
+random instances, and hunt for counterexamples.  Each cell has one
+evaluation path: exact rationals for rational-only centers, and for the
+others intervals whose precision doubles up to a cap.
 
 A cell verdict of "confirmed (exact, n)" means the property vanished in
 exact rational arithmetic on every instance — randomized-identity
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import geometry as G
 from . import properties as P
 from . import scalar as S
 from ._backend import Q, numden
@@ -32,8 +33,6 @@ from .tetrahedron import (
     generate,
 )
 
-PREFILTER_BITS = 64
-
 
 def _fmt_q(q) -> str:
     n, d = numden(q)
@@ -44,65 +43,6 @@ def _fmt_scalar(x) -> str:
     if isinstance(x, S.Interval):
         return f"[{_fmt_q(x.lo)}, {_fmt_q(x.hi)}]@{x.bits}b"
     return _fmt_q(Q(x))
-
-
-class BlurredInstance:
-    """Duck-typed stand-in for EdgeLengths whose edges are low-precision
-    intervals; used by the prefilter.  A nonzero residual computed through
-    it is still a proof (interval arithmetic is outward-rounded)."""
-
-    class _Sides:
-        def __init__(self, triple):
-            self._triple = triple
-            self.a, self.b, self.c = triple
-
-        def sides(self):
-            return self._triple
-
-        def area_squared(self):
-            a2, b2, c2 = (x * x for x in self._triple)
-            return (2 * (a2 * b2 + b2 * c2 + c2 * a2)
-                    - a2 * a2 - b2 * b2 - c2 * c2) / Q(16)
-
-    class _Metric:
-        def __init__(self, sq):
-            self._sq = sq
-
-        def sq(self, i, j):
-            return self._sq[(i, j) if i < j else (j, i)]
-
-        def perp_form(self, d1, d2):
-            return G.EdgeMetric.perp_form(self, d1, d2)
-
-    def __init__(self, e: EdgeLengths, bits: int = PREFILTER_BITS):
-        self.a1, self.a2, self.a3 = (S.to_interval(x, bits) for x in (e.a1, e.a2, e.a3))
-        self.b1, self.b2, self.b3 = (S.to_interval(x, bits) for x in (e.b1, e.b2, e.b3))
-
-    def face_side_triple(self, i):
-        return {
-            1: (self.a1, self.b2, self.b3),
-            2: (self.b1, self.a2, self.b3),
-            3: (self.b1, self.b2, self.a3),
-            4: (self.a1, self.a2, self.a3),
-        }[i]
-
-    def face_sides(self, i):
-        return BlurredInstance._Sides(self.face_side_triple(i))
-
-    def edge_between(self, i, j):
-        pair = (i, j) if i < j else (j, i)
-        return {
-            (2, 3): self.a1, (1, 3): self.a2, (1, 2): self.a3,
-            (1, 4): self.b1, (2, 4): self.b2, (3, 4): self.b3,
-        }[pair]
-
-    def metric(self):
-        sq = {}
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                e = self.edge_between(i, j)
-                sq[(i, j)] = e * e
-        return BlurredInstance._Metric(sq)
 
 
 # ---------------------------------------------------------------------
@@ -125,15 +65,12 @@ class ScreenPlan:
     properties: list       # of P.PropertyId
     count: int = 20
     seed: int = 0
-    mode_policy: str = "exact"     # 'exact' | 'prefilter'
     precision_cap: int = S.DEFAULT_BITS_CAP
     catalog: Catalog = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.mode_policy not in ("exact", "prefilter"):
-            raise ValueError(f"unknown mode policy {self.mode_policy!r}")
         if self.catalog is None:
             self.catalog = builtin_catalog()
         for spec in self.centers:
@@ -230,32 +167,16 @@ class ScreenReport:
 # evaluation
 
 
-def _points_for(e, entry, r, mode: EvalMode):
-    return face_points(e, entry, r=r, mode=mode)
-
-
 def evaluate_cell_on_instance(e: EdgeLengths, entry, r, prop: P.PropertyId,
-                              policy: str, precision_cap: int) -> P.Verdict:
-    """One (instance, center, property) evaluation.
-
-    With the prefilter policy the property is first screened through
-    64-bit interval edges: a provably nonzero residual settles `fails`
-    immediately; anything else escalates to the exact path.
-    """
-    if policy == "prefilter":
-        try:
-            blurred = BlurredInstance(e)
-            pts = _points_for(blurred, entry, r, EvalMode.interval(PREFILTER_BITS))
-            verdict = P.check_property(blurred, pts, prop, EvalMode.interval(PREFILTER_BITS))
-            if verdict.status == P.FAILS:
-                return verdict
-        except (Undecided, TetraScreenError):
-            pass  # escalate to exact
+                              precision_cap: int = S.DEFAULT_BITS_CAP) -> P.Verdict:
+    """One (instance, center, property) evaluation: exact for rational-only
+    centers, else intervals whose precision doubles up to `precision_cap`
+    while a comparison stays undecided."""
     bits = S.DEFAULT_BITS
     while True:
         mode = EvalMode() if entry.rational_only else EvalMode.interval(bits)
         try:
-            pts = _points_for(e, entry, r, mode)
+            pts = face_points(e, entry, r=r, mode=mode)
             return P.check_property(e, pts, prop, mode)
         except Undecided:
             if bits >= precision_cap:
@@ -285,7 +206,7 @@ def run_screen_on_instances(plan: ScreenPlan, instances) -> ScreenReport:
                 cell = cells[(spec.label(), prop)]
                 try:
                     verdict = evaluate_cell_on_instance(
-                        inst, entry, spec.r, prop, plan.mode_policy, plan.precision_cap)
+                        inst, entry, spec.r, prop, plan.precision_cap)
                 except EvaluationSingular as exc:
                     cell.record(P.SKIPPED)
                     if len(cell.errors) < 3:
@@ -311,7 +232,7 @@ def run_screen_on_instances(plan: ScreenPlan, instances) -> ScreenReport:
         "properties": [int(p) for p in plan.properties],
         "count": len(instances),
         "seed": plan.seed,
-        "mode_policy": plan.mode_policy,
+        "mode_policy": "exact",  # constant; kept so report digests stay the same
         "precision_cap": plan.precision_cap,
     }
     return ScreenReport(plan_echo, list(cells.values()),
@@ -425,9 +346,9 @@ def hunt_counterexample(claim: str, budget: int = 1000, seed: int = 0,
     catalog center fail the relevant property on some instance (success
     supports the uniqueness statement; a "survivor" would witness against
     it).  For the conjectures the hunt searches for counterexamples and
-    reports the exhausted budget when none is found.  A budget below 1, or
-    a catalog without rational-only centers, would try nothing, so both
-    are refused.
+    reports the exhausted budget when none is found.  A budget below 1, a
+    catalog without rational-only centers, or one whose every center is
+    excluded or degenerate would try nothing, so all three are refused.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -469,8 +390,7 @@ def _hunt_uniqueness(catalog, seed, budget, prop, family, excluded) -> dict:
         for k in range(budget):
             inst = generate(family, _spec_seed(seed, spec, k), 1)[0]
             try:
-                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop,
-                                                    "exact", S.DEFAULT_BITS_CAP)
+                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop)
             except EvaluationSingular:
                 continue
             except TetraScreenError:
@@ -494,6 +414,9 @@ def _hunt_uniqueness(catalog, seed, budget, prop, family, excluded) -> dict:
             excluded_specs.append(f"{spec.label()} (degenerate on this family)")
         else:
             survivors.append(spec.label())
+    if not refuted and not survivors:
+        raise ValueError("every center of the catalog is excluded or degenerate "
+                         "on this family, so the hunt would try none")
     return {
         "claim_supported": not survivors,
         "refuted": refuted,
@@ -541,8 +464,7 @@ def _hunt_conjecture(claim, catalog, seed, budget) -> dict:
             entry = catalog[spec.id]
             tried += 1
             try:
-                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop,
-                                                    "exact", S.DEFAULT_BITS_CAP)
+                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop)
             except TetraScreenError:
                 continue
             if not verdict.holds:

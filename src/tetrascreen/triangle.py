@@ -161,14 +161,14 @@ def isogonal_conjugate(p: Areal, sides: TriangleSides) -> Areal:
 def eval_center_raw(expr: Node, sides: TriangleSides, r=None, mode: EvalMode = EXACT):
     """The cyclic value triple (f(a,b,c), f(b,c,a), f(c,a,b)) as scalars.
 
-    On exact sides, a K-free center at an integer (or absent) r runs as a
-    compiled integer program (see centerexpr.compile_rational).  Anything
-    else walks the tree in the ring with K^2 substituted exactly.  A common
-    factor K across all three values is divided out (projectively valid
-    since K > 0); a surviving mixed K makes the result irrational, which
-    is an error in exact mode and an interval enclosure otherwise.
+    A K-free center at an integer (or absent) r runs as a compiled integer
+    program (see centerexpr.compile_rational).  Anything else walks the
+    tree in the ring with K^2 substituted exactly.  A common factor K
+    across all three values is divided out (projectively valid since
+    K > 0); a surviving mixed K makes the result irrational, which is an
+    error in exact mode and an interval enclosure otherwise.
     """
-    program = rational_program(expr, r) if isinstance(sides, TriangleSides) else None
+    program = rational_program(expr, r)
     if program is not None:
         try:
             coords = program(*sides.int_form)

@@ -150,6 +150,8 @@ class TestScreenInput:
         ["--centers", "POW:1/0"],
         ["--precision-bits", "0"],
         ["--precision-bits", "-8"],
+        ["--jobs", "0"],
+        ["--jobs", "-2"],
     ])
     def test_bad_screen_input_is_a_usage_error(self, args, capsys):
         # a repeated option overrides the valid one before it
@@ -161,6 +163,42 @@ class TestScreenInput:
         assert f"error: argument {args[0]}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_prefilter_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--family", "general", "--centers", "X2", "--properties", "1",
+                  "-n", "1", "--prefilter"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prefilter" in capsys.readouterr().err
+
+    def test_jobs_pool_is_no_larger_than_the_center_list(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = ["screen", "--family", "isosceles", "--centers", "X2,X7,POW:2",
+                "--properties", "1", "-n", "2", "--seed", "4"]
+        reports = []
+        for jobs in ("1", "5000", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert sizes == [3, 2]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_properties_by_name_and_number(self, tmp_path):
         out = tmp_path / "r.json"

@@ -111,12 +111,10 @@ def test_tree_walk_keeps_k_entries_and_fractional_r():
         T.eval_center_raw(cev1, sides, r=Q(1, 2))
 
 
-# screens through the tree walk (a K entry, fractional r, interval sides
-# under --prefilter) and the compiled X7; digests recorded before the
-# integer fast paths existed
+# screens through the tree walk (a K entry, fractional r) and the compiled
+# X7; digests recorded before the integer fast paths existed
 _FALLBACK_DIGESTS = {
     "": "552f7c2d11635d1697042ec3793bc80c49824535ea7dbbc10893b10c0a8ad829",
-    "--prefilter": "8ab6950897e0cbfbb85d8d54101f074541a9fc4ebd9567af6f42fcc2a3758237",
 }
 
 

@@ -66,18 +66,6 @@ class TestRunScreen:
         md = rep.to_markdown()
         assert md.startswith("| center |")
 
-    def test_prefilter_policy_is_sound(self):
-        """No exact-confirmed cell may be failed by the prefilter."""
-        exact = SC.run_screen(small_plan())
-        pre = SC.run_screen(small_plan(mode_policy="prefilter"))
-        e = {(c.center, c.property): c.summary() for c in exact.cells}
-        p = {(c.center, c.property): c.summary() for c in pre.cells}
-        for key, summary in e.items():
-            if summary.startswith("confirmed"):
-                assert not p[key].startswith("fails"), key
-            if summary.startswith("fails"):
-                assert p[key].startswith("fails"), key
-
     def test_explicit_instances(self):
         from tetrascreen.tetrahedron import generate
 
@@ -150,3 +138,15 @@ class TestHunts:
         with pytest.raises(ValueError, match="no center of the catalog can be tried"):
             SC.hunt_counterexample("conjecture-similar-centroid", budget=1, seed=0,
                                    catalog=only_centroid)
+
+    @pytest.mark.parametrize("claim, text", [
+        ("centroid-uniqueness", "1/a"),      # the centroid itself: excluded
+        ("planarity-impossibility", "b+c-2*a"),  # areal sum 0: never finite
+    ])
+    def test_uniqueness_hunt_that_tries_no_center_is_refused(self, claim, text):
+        from tetrascreen.catalog import Catalog, CatalogEntry
+
+        kind = "trilinear" if text == "1/a" else "areal"
+        catalog = Catalog([CatalogEntry.from_text("G2", "G2", kind, text, False)])
+        with pytest.raises(ValueError, match="excluded or degenerate"):
+            SC.hunt_counterexample(claim, budget=5, seed=0, catalog=catalog)
