@@ -373,12 +373,19 @@ def central_squared_edges(m: G.EdgeMetric, points) -> dict:
 
 _OPPOSITE_EDGE_PAIRS = (((2, 3), (1, 4)), ((1, 3), (2, 4)), ((1, 2), (3, 4)))
 
+CENTRAL_PROPERTIES = frozenset({
+    PropertyId.CENTRAL_ISOSCELES, PropertyId.CENTRAL_REGULAR,
+    PropertyId.CENTRAL_ISODYNAMIC, PropertyId.CENTRAL_CIRCUMSCRIPTIBLE,
+    PropertyId.CENTRAL_ORTHOCENTRIC, PropertyId.SIMILAR_TO_REFERENCE})
 
-def classify_central(e: EdgeLengths, points) -> dict:
+
+def classify_central(e: EdgeLengths, points, wanted=CENTRAL_PROPERTIES) -> dict:
     """Verdicts for properties 7-12 on the central tetrahedron.
 
     Opposite-edge sums of lengths (circumscriptibility) are decided
-    exactly on the squared values by radical-sum comparison.
+    exactly on the squared values by radical-sum comparison.  The
+    circumscriptibility and similarity verdicts, the costly ones, are
+    computed only when `wanted` names them.
     """
     if G.coplanar4(*[p.normalized() for p in points]):
         raise CoplanarPoints("central points are coplanar")
@@ -397,8 +404,10 @@ def classify_central(e: EdgeLengths, points) -> dict:
     t_iso = pairs[0][0] * pairs[0][1]
     out[PropertyId.CENTRAL_ISODYNAMIC] = _zero_verdict(
         [a * b - t_iso for a, b in pairs[1:]])
-    out[PropertyId.CENTRAL_CIRCUMSCRIPTIBLE] = _circumscriptible_verdict(pairs)
-    out[PropertyId.SIMILAR_TO_REFERENCE] = _similarity_verdict(e, m, sq)
+    if PropertyId.CENTRAL_CIRCUMSCRIPTIBLE in wanted:
+        out[PropertyId.CENTRAL_CIRCUMSCRIPTIBLE] = _circumscriptible_verdict(pairs)
+    if PropertyId.SIMILAR_TO_REFERENCE in wanted:
+        out[PropertyId.SIMILAR_TO_REFERENCE] = _similarity_verdict(e, m, sq)
     return out
 
 
@@ -527,9 +536,45 @@ def _euler_membership(o, g, candidates: dict, line_name: str) -> Verdict:
 # one-call dispatcher
 
 
+_SPACE_PROPERTIES = frozenset({
+    PropertyId.SHARED_SPACE_CENTER, PropertyId.CENTRAL_CENTER_ON_REF_EULER,
+    PropertyId.REF_CENTER_ON_CENTRAL_EULER})
+
+
+class GroupMemo:
+    """Work shared by the properties of one set of face points at one
+    evaluation mode.
+
+    `get(key, build)` runs `build()` on the first call for `key`; later
+    calls return its result, or re-raise the TetraScreenError it raised,
+    so every property that needs the work sees the same outcome.  Any
+    other exception propagates and is not kept.  `central` is the set of
+    properties 7-12 that `classify_central` is asked for.
+    """
+
+    def __init__(self, central):
+        self.central = central
+        self._built = {}
+
+    def get(self, key, build):
+        if key not in self._built:
+            try:
+                self._built[key] = build()
+            except TetraScreenError as exc:
+                self._built[key] = exc
+        out = self._built[key]
+        if isinstance(out, TetraScreenError):
+            raise out
+        return out
+
+
 def check_property(e: EdgeLengths, points, prop: PropertyId,
-                   mode: EvalMode = EXACT) -> Verdict:
-    """Evaluate one property for precomputed face points."""
+                   mode: EvalMode = EXACT, memo: GroupMemo | None = None) -> Verdict:
+    """Evaluate one property for precomputed face points.  `memo` shares
+    the central-shape (7-12) and space-relation (14-16) verdicts between
+    the properties of these points; without one, `classify_central` is
+    asked for `prop` alone."""
+    memo = GroupMemo({prop}) if memo is None else memo
     if prop is PropertyId.CONCUR:
         return check_concurrence(e, points)
     if prop is PropertyId.HYPERBOLIC:
@@ -542,20 +587,19 @@ def check_property(e: EdgeLengths, points, prop: PropertyId,
         return check_normals_concur(e, points)
     if prop is PropertyId.FACES_PARALLEL:
         return check_faces_parallel(e, points)
-    if prop in (PropertyId.CENTRAL_ISOSCELES, PropertyId.CENTRAL_REGULAR,
-                PropertyId.CENTRAL_ISODYNAMIC, PropertyId.CENTRAL_CIRCUMSCRIPTIBLE,
-                PropertyId.CENTRAL_ORTHOCENTRIC, PropertyId.SIMILAR_TO_REFERENCE):
+    if prop in CENTRAL_PROPERTIES:
         try:
-            return classify_central(e, points)[prop]
+            return memo.get("central",
+                            lambda: classify_central(e, points, memo.central))[prop]
         except CoplanarPoints as exc:
             return Verdict(SKIPPED, note=str(exc))
     if prop is PropertyId.EQUAL_CEVIANS:
         return check_equal_cevians(e, points)
-    if prop in (PropertyId.SHARED_SPACE_CENTER, PropertyId.CENTRAL_CENTER_ON_REF_EULER,
-                PropertyId.REF_CENTER_ON_CENTRAL_EULER):
+    if prop in _SPACE_PROPERTIES:
+        relation_mode = mode if not mode.exact else EvalMode.interval(128)
         try:
-            relation_mode = mode if not mode.exact else EvalMode.interval(128)
-            return check_space_center_relations(e, points, relation_mode)[prop]
+            return memo.get("space", lambda: check_space_center_relations(
+                e, points, relation_mode))[prop]
         except CoplanarPoints as exc:
             return Verdict(SKIPPED, note=str(exc))
     raise ValueError(prop)

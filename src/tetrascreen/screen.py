@@ -1,7 +1,10 @@
 """Screening engine: run (family x center x property) matrices over seeded
 random instances, and hunt for counterexamples.  Each cell has one
 evaluation path: exact rationals for rational-only centers, and for the
-others intervals whose precision doubles up to a cap.
+others intervals whose precision doubles up to a cap.  A screen builds
+one `PairContext` per (instance, center): the face points, the central
+shape and the space relations are evaluated once per evaluation mode and
+shared by all the pair's properties, then dropped with the pair.
 
 A cell verdict of "confirmed (exact, n)" means the property vanished in
 exact rational arithmetic on every instance — randomized-identity
@@ -167,17 +170,45 @@ class ScreenReport:
 # evaluation
 
 
+class PairContext:
+    """Work shared by the properties of one (instance, center) pair: the
+    face points, `classify_central`'s verdicts and
+    `check_space_center_relations`'s verdicts, each built on first use and
+    kept per evaluation mode in a `P.GroupMemo`.  A TetraScreenError raised
+    while building one is kept and re-raised for every property that
+    needs it.  `properties` are the properties the context will be asked
+    for; its central ones are what `classify_central` computes."""
+
+    def __init__(self, e: EdgeLengths, entry, r, properties):
+        self.e, self.entry, self.r = e, entry, r
+        self.central = P.CENTRAL_PROPERTIES.intersection(properties)
+        self._memos = {}
+
+    def at(self, mode: EvalMode):
+        """The face points and the group memo at `mode`."""
+        memo = self._memos.get(mode)
+        if memo is None:
+            memo = self._memos[mode] = P.GroupMemo(self.central)
+        points = memo.get("points", lambda: face_points(self.e, self.entry,
+                                                        r=self.r, mode=mode))
+        return points, memo
+
+
 def evaluate_cell_on_instance(e: EdgeLengths, entry, r, prop: P.PropertyId,
-                              precision_cap: int = S.DEFAULT_BITS_CAP) -> P.Verdict:
+                              precision_cap: int = S.DEFAULT_BITS_CAP,
+                              context: PairContext | None = None) -> P.Verdict:
     """One (instance, center, property) evaluation: exact for rational-only
     centers, else intervals whose precision doubles up to `precision_cap`
-    while a comparison stays undecided."""
+    while a comparison stays undecided.  `context` is the pair's shared
+    work; without one, a fresh context for `prop` alone is used."""
+    if context is None:
+        context = PairContext(e, entry, r, (prop,))
     bits = S.DEFAULT_BITS
     while True:
         mode = EvalMode() if entry.rational_only else EvalMode.interval(bits)
         try:
-            pts = face_points(e, entry, r=r, mode=mode)
-            return P.check_property(e, pts, prop, mode)
+            pts, memo = context.at(mode)
+            return P.check_property(e, pts, prop, mode, memo)
         except Undecided:
             if bits >= precision_cap:
                 return P.Verdict(P.UNDECIDED,
@@ -202,11 +233,12 @@ def run_screen_on_instances(plan: ScreenPlan, instances) -> ScreenReport:
     for idx, inst in enumerate(instances):
         for spec in plan.centers:
             entry = plan.catalog[spec.id]
+            context = PairContext(inst, entry, spec.r, plan.properties)
             for prop in plan.properties:
                 cell = cells[(spec.label(), prop)]
                 try:
                     verdict = evaluate_cell_on_instance(
-                        inst, entry, spec.r, prop, plan.precision_cap)
+                        inst, entry, spec.r, prop, plan.precision_cap, context)
                 except EvaluationSingular as exc:
                     cell.record(P.SKIPPED)
                     if len(cell.errors) < 3:

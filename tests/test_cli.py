@@ -200,6 +200,36 @@ class TestScreenInput:
         assert sizes == [3, 2]
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
+    def test_jobs_time_is_the_pool_time_not_the_sum_of_the_parts(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        import concurrent.futures
+
+        class SlowPartsPool:
+            """Serial pool whose parts each claim to have taken 100 s."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                parts = [fn(item) for item in items]
+                for part in parts:
+                    part.elapsed_seconds = 100.0
+                return parts
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SlowPartsPool)
+        assert main(["screen", "--family", "isosceles", "--centers", "X2,X7,POW:2",
+                     "--properties", "1", "-n", "1", "--jobs", "2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        err = capsys.readouterr().err
+        seconds = float(err.split("screen finished in ")[1].split("s ")[0])
+        assert seconds < 100.0
+
     def test_properties_by_name_and_number(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["screen", "--family", "isosceles", "--centers", "X2",
