@@ -292,7 +292,8 @@ def parse_center_spec(spec: str):
     """Split a CLI center spec `ID[:r]` into (id, r or None).
 
     The r value may be an integer or a quotient, e.g. ``POW:2``, ``Z3:-1``,
-    ``CEV1:1/2``.
+    ``CEV1:1/2``; its numerator and denominator are bounded by
+    ``CE.MAX_EXPONENT`` in magnitude (ValueError).
     """
     id_, sep, rtext = spec.partition(":")
     if not sep:
@@ -300,4 +301,6 @@ def parse_center_spec(spec: str):
     from ._backend import Q
     num, s2, den = rtext.partition("/")
     r = Q(int(num), int(den)) if s2 else Q(int(num))
+    if abs(r.numerator) > CE.MAX_EXPONENT or r.denominator > CE.MAX_EXPONENT:
+        raise ValueError(f"r = {r} is out of range")
     return id_, r

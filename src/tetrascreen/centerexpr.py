@@ -10,8 +10,9 @@ Grammar (whitespace insignificant)::
 
 Rational literals are written as quotients (``3/4``).  ``a, b, c`` are the
 triangle sides, ``K`` its area, ``r`` a rational parameter.  Exponents are
-integers, except that the parameter ``r`` itself may appear as an exponent
-(and may be given a non-integer rational value at evaluation time).
+integers of magnitude at most :data:`MAX_EXPONENT`, except that the
+parameter ``r`` itself may appear as an exponent (and may be given a
+non-integer rational value at evaluation time).
 
 A valid center function must be homogeneous (with K counted as degree 2)
 and symmetric in b and c; both are checked by exact evaluation at random
@@ -144,6 +145,12 @@ def to_text(node: Node) -> str:
 
 # --- parser ------------------------------------------------------------
 
+#: Largest magnitude of an integer exponent, and of the numerator and the
+#: denominator of r in a center spec.  Built-in exponents reach 4 and hunts
+#: use r in -2..3; a larger one is refused at parse time (a^-1000000000
+#: would otherwise run for minutes).
+MAX_EXPONENT = 64
+
 _SYMBOLS = frozenset("abcKr")
 
 
@@ -238,6 +245,9 @@ class _Parser:
         if not ch.isdigit():
             raise self.error("exponent must be an integer or r")
         n = self.integer()
+        if n > MAX_EXPONENT:
+            raise self.error(f"exponent {'-' if neg else ''}{n} is out of range "
+                             f"(magnitude at most {MAX_EXPONENT})")
         return Pow(base, -n if neg else n)
 
     def integer(self) -> int:

@@ -19,6 +19,7 @@ from . import screen as SC
 from . import theorems as TH
 from ._backend import BACKEND
 from .catalog import builtin_catalog, load_catalog_file, parse_center_spec
+from .centerexpr import MAX_EXPONENT
 from .errors import TetraScreenError
 from .screen import CenterSpec, ScreenPlan, run_screen
 from .tetrahedron import EdgeLengths, TetraFamily, generate
@@ -71,7 +72,8 @@ def _center_list(text: str):
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(
                 f"bad center {tok.strip()!r} (use ID or ID:r with r an integer "
-                "or a quotient)") from None
+                f"or a quotient, numerator and denominator at most {MAX_EXPONENT} "
+                "in magnitude)") from None
         specs.append(CenterSpec(cid, r))
     return specs
 

@@ -11,7 +11,10 @@ Incidence predicates reduce to small determinants.  Over rationals these
 are evaluated fraction-free (rows cleared to integers, Bareiss
 elimination) so screening-scale coefficient growth stays in check; over
 intervals they fall back to cofactor expansion and may raise
-:class:`~tetrascreen.errors.Undecided`.
+:class:`~tetrascreen.errors.Undecided`.  Line/plane constructions use only
++, - and x on the same integer rows (or on interval rows): a plane is the
+cofactor vector of three rows, a line (b, d) meets a plane t at
+(t.d) b - (t.b) d, and a point is normalized once, at the end.
 """
 
 from __future__ import annotations
@@ -54,23 +57,19 @@ def det3(m):
     )
 
 
-def _int_rows(rows):
-    """Scale each rational row to integers (positive factors only)."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = int(x.denominator) if not isinstance(x, int) else 1
-            lcm = lcm * d // math.gcd(lcm, d)
-        out.append([int(x * lcm) if lcm > 1 else int(x) for x in row])
-    return out
+def _int_row(row):
+    """The exact row times the lcm of its denominators: integers, scaled
+    by a positive factor."""
+    big = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (big // x.denominator) for x in row]
 
 
-def _bareiss_sign(rows) -> int:
-    """Sign of the determinant of an integer matrix (fraction-free)."""
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free
+    elimination (Bareiss 1968): every division is exact."""
     n = len(rows)
-    m = [row[:] for row in rows]
-    sign_flips = 1
+    m = [list(row) for row in rows]
+    sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -78,13 +77,19 @@ def _bareiss_sign(rows) -> int:
             if swap is None:
                 return 0
             m[k], m[swap] = m[swap], m[k]
-            sign_flips = -sign_flips
+            sign = -sign
+        pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    v = m[n - 1][n - 1] * sign_flips
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
@@ -92,7 +97,7 @@ def det4_sign(rows) -> int:
     """Sign of a 4x4 determinant; exact over rationals, interval-decided
     otherwise (raising Undecided when the enclosure straddles zero)."""
     if all(is_rational(x) for row in rows for x in row):
-        return _bareiss_sign(_int_rows([[Q(x) for x in row] for row in rows]))
+        return _sign(bareiss_det([_int_row(row) for row in rows]))
     return S.sign(det4(rows))
 
 
@@ -123,6 +128,24 @@ def cofactors_of_rows(rows):
 
 def _proj_zero(coords) -> bool:
     return all(S.is_exact(x) and x == 0 for x in coords)
+
+
+def _proportional(u, v) -> bool:
+    """All 2x2 minors of two 4-vectors vanish (raises Undecided on an
+    interval minor that straddles zero)."""
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if S.sign(u[i] * v[j] - u[j] * v[i]) != 0:
+                return False
+    return True
+
+
+def _ring_vector(coords):
+    """Exact coords as integers (a positive scale keeps every sign and the
+    projective class); coords with an interval as they are."""
+    if all(is_rational(x) for x in coords):
+        return _int_row(coords)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -175,12 +198,7 @@ class TetraPoint:
         return self._normalized
 
     def proj_eq(self, other: "TetraPoint") -> bool:
-        u, v = self.tuple(), other.tuple()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if S.sign(u[i] * v[j] - u[j] * v[i]) != 0:
-                    return False
-        return True
+        return _proportional(self.tuple(), other.tuple())
 
     def is_exact(self) -> bool:
         return all(S.is_exact(c) for c in self.tuple())
@@ -209,12 +227,7 @@ class TetraDirection:
             raise InvalidTetrahedron(f"direction components must sum to 0, got {s}")
 
     def proj_eq(self, other: "TetraDirection") -> bool:
-        u, v = self.tuple(), other.tuple()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if S.sign(u[i] * v[j] - u[j] * v[i]) != 0:
-                    return False
-        return True
+        return _proportional(self.tuple(), other.tuple())
 
 
 @dataclass(frozen=True)
@@ -229,14 +242,13 @@ class TetraLine:
     def contains(self, p: TetraPoint) -> bool:
         pn = p.normalized()
         delta = tuple(pn.tuple()[i] - self.base.tuple()[i] for i in range(4))
-        if _proj_zero(delta):
-            return True
-        d = self.direction.tuple()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if S.sign(delta[i] * d[j] - delta[j] * d[i]) != 0:
-                    return False
-        return True
+        return _proj_zero(delta) or _proportional(delta, self.direction.tuple())
+
+    def ring_rows(self):
+        """(base, direction) on the ring of the division-free formulas."""
+        form = self.base.int_form
+        base = self.base.tuple() if form is None else form[0]
+        return base, _ring_vector(self.direction.tuple())
 
 
 @dataclass(frozen=True)
@@ -312,22 +324,17 @@ class EdgeMetric:
 
     def cayley_menger(self):
         """288 V^2; positive exactly for a realizable nondegenerate
-        tetrahedron."""
-        d = self.sq
-        m = [
-            [Q(0), Q(1), Q(1), Q(1), Q(1)],
-            [Q(1), Q(0), d(1, 2), d(1, 3), d(1, 4)],
-            [Q(1), d(1, 2), Q(0), d(2, 3), d(2, 4)],
-            [Q(1), d(1, 3), d(2, 3), Q(0), d(3, 4)],
-            [Q(1), d(1, 4), d(2, 4), d(3, 4), Q(0)],
-        ]
-        # 5x5 determinant by cofactor expansion along the first row
-        total = Q(0)
-        for j in range(1, 5):
-            minor = [[m[i][k] for k in range(5) if k != j] for i in range(1, 5)]
-            term = m[0][j] * det4(minor)
-            total = total + (-term if j % 2 else term)
-        return total
+        tetrahedron.  It is cubic in the squared lengths, so the bordered
+        matrix of the integer form (D, L) has L^3 times this determinant."""
+        (d01, d02, d03, d12, d13, d23), big = self.int_form
+        det = bareiss_det([
+            [0, 1, 1, 1, 1],
+            [1, 0, d01, d02, d03],
+            [1, d01, 0, d12, d13],
+            [1, d02, d12, 0, d23],
+            [1, d03, d13, d23, 0],
+        ])
+        return Q(det, big * big * big)
 
     def volume_squared(self):
         return self.cayley_menger() / 288
@@ -394,7 +401,7 @@ def points_det4_sign(points) -> int:
     forms = [p.int_form for p in points]
     if None in forms:
         return det4_sign([p.tuple() for p in points])
-    return _bareiss_sign([list(f[0]) for f in forms])
+    return _sign(bareiss_det([f[0] for f in forms]))
 
 
 def coplanar4(p1, p2, p3, p4) -> bool:
@@ -408,13 +415,7 @@ def collinear3(p1, p2, p3) -> bool:
     c = p3.normalized().tuple()
     u = tuple(b[i] - a[i] for i in range(4))
     v = tuple(c[i] - a[i] for i in range(4))
-    if _proj_zero(u) or _proj_zero(v):
-        return True
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if S.sign(u[i] * v[j] - u[j] * v[i]) != 0:
-                return False
-    return True
+    return _proj_zero(u) or _proj_zero(v) or _proportional(u, v)
 
 
 def line_through(p: TetraPoint, q: TetraPoint) -> TetraLine:
@@ -506,10 +507,13 @@ def plane_point_line(p: TetraPoint, l: TetraLine) -> TetraPlane:
 
 
 def plane_line_parallel_line(l1: TetraLine, d2: TetraDirection) -> TetraPlane:
-    if l1.direction.proj_eq(d2):
+    """The plane through l1 parallel to d2: cofactors of (base, l1's
+    direction, d2)."""
+    base, d1 = l1.ring_rows()
+    d2 = _ring_vector(d2.tuple())
+    if _proportional(d1, d2):
         raise ParallelDirections("the direction is parallel to the line")
-    return TetraPlane(*cofactors_of_rows([
-        l1.base.tuple(), l1.direction.tuple(), d2.tuple()]))
+    return TetraPlane(*cofactors_of_rows([base, d1, d2]))
 
 
 def line_parallel_to_plane(l: TetraLine, e: TetraPlane) -> bool:
@@ -517,13 +521,30 @@ def line_parallel_to_plane(l: TetraLine, e: TetraPlane) -> bool:
     return S.sign(t[0] * d[0] + t[1] * d[1] + t[2] * d[2] + t[3] * d[3]) == 0
 
 
-def line_plane_intersection(l: TetraLine, e: TetraPlane) -> TetraPoint:
-    t, d, b = e.tuple(), l.direction.tuple(), l.base.tuple()
+def line_plane_meet(l: TetraLine, e: TetraPlane):
+    """Homogeneous coordinates (t.d) b - (t.b) d of the point where the
+    line (b, d) meets the plane t; integers when both are exact."""
+    b, d = l.ring_rows()
+    t = _ring_vector(e.tuple())
     den = t[0] * d[0] + t[1] * d[1] + t[2] * d[2] + t[3] * d[3]
     if S.sign(den) == 0:
         raise LineParallelToPlane("the line is parallel to (or inside) the plane")
-    r = S.div(e.value_at(l.base), den)
-    return TetraPoint(*(b[i] - r * d[i] for i in range(4)))
+    num = t[0] * b[0] + t[1] * b[1] + t[2] * b[2] + t[3] * b[3]
+    return tuple(den * b[i] - num * d[i] for i in range(4))
+
+
+def point_of(coords) -> TetraPoint:
+    """The normalized point of homogeneous coordinates."""
+    if all(type(c) is int for c in coords):
+        s = coords[0] + coords[1] + coords[2] + coords[3]
+        if s == 0:
+            raise PointAtInfinity("coordinate sum is zero")
+        return TetraPoint(*(Q(c, s) for c in coords))
+    return TetraPoint(*coords).normalized()
+
+
+def line_plane_intersection(l: TetraLine, e: TetraPlane) -> TetraPoint:
+    return point_of(line_plane_meet(l, e))
 
 
 def direction_cosines(l: TetraLine, m: EdgeMetric, bits: int = S.DEFAULT_BITS):

@@ -201,13 +201,14 @@ def spear_trace_constructive(e: EdgeLengths, p1, p2, p3):
 def hyperboloid_center(lines) -> G.TetraPoint:
     """Center of the ruled quadric spanned by pairwise-skew lines: X is
     where L3 meets the plane through L1 parallel to L2, Y where L2 meets
-    the plane through L1 parallel to L3; the center is the midpoint XY."""
+    the plane through L1 parallel to L3; the center is the midpoint XY,
+    s_Y X + s_X Y for homogeneous X, Y with coordinate sums s_X, s_Y."""
     l1, l2, l3 = lines[0], lines[1], lines[2]
-    e12 = G.plane_line_parallel_line(l1, l2.direction)
-    x = G.line_plane_intersection(l3, e12)
-    e13 = G.plane_line_parallel_line(l1, l3.direction)
-    y = G.line_plane_intersection(l2, e13)
-    return G.midpoint(x, y)
+    x = G.line_plane_meet(l3, G.plane_line_parallel_line(l1, l2.direction))
+    y = G.line_plane_meet(l2, G.plane_line_parallel_line(l1, l3.direction))
+    sx = x[0] + x[1] + x[2] + x[3]
+    sy = y[0] + y[1] + y[2] + y[3]
+    return G.point_of(tuple(sy * x[i] + sx * y[i] for i in range(4)))
 
 
 def check_hyperbolic(e: EdgeLengths, points, with_center: bool = True) -> Verdict:
@@ -274,7 +275,7 @@ def feuerbach_planarity_condition(e: EdgeLengths) -> bool:
 
 
 _FACE_EDGE_DIRS = {
-    # two independent in-face directions for each face (vertex differences)
+    # two independent in-face edges A_i -> A_j for each face
     1: ((2, 3), (2, 4)),
     2: ((1, 3), (1, 4)),
     3: ((1, 2), (1, 4)),
@@ -282,32 +283,19 @@ _FACE_EDGE_DIRS = {
 }
 
 
-def _vertex_diff_direction(i: int, j: int) -> G.TetraDirection:
-    comps = [Q(0)] * 4
-    comps[i - 1] = Q(-1)
-    comps[j - 1] = Q(1)
-    return G.TetraDirection(*comps)
-
-
-def _perp_form_row(m: G.EdgeMetric, u: G.TetraDirection):
-    """Coefficient vector of d -> perp_form(d, u), a linear form in d."""
-    k, l, mm, n = u.tuple()
-    return (
-        m.sq(1, 3) * mm + m.sq(1, 2) * l + m.sq(1, 4) * n,
-        m.sq(2, 3) * mm + m.sq(1, 2) * k + m.sq(2, 4) * n,
-        m.sq(2, 3) * l + m.sq(1, 3) * k + m.sq(3, 4) * n,
-        m.sq(1, 4) * k + m.sq(2, 4) * l + m.sq(3, 4) * mm,
-    )
-
-
 def face_normal_direction(m: G.EdgeMetric, i: int) -> G.TetraDirection:
     """Direction perpendicular to face i: the null vector of the two
-    in-face perpendicularity forms together with the sum-zero constraint."""
-    (v1, v2), (v3, v4) = _FACE_EDGE_DIRS[i]
-    u1 = _vertex_diff_direction(v1, v2)
-    u2 = _vertex_diff_direction(v3, v4)
-    rows = [_perp_form_row(m, u1), _perp_form_row(m, u2), (Q(1), Q(1), Q(1), Q(1))]
-    return G.null_direction(rows)
+    in-face perpendicularity forms together with the sum-zero constraint.
+    The form d -> perp_form(d, A_j - A_i) has coefficients g_pj - g_pi (g
+    the squared lengths, zero on the diagonal), taken from the integer
+    form, so the null vector is L^2 times the rational one; it is divided
+    back, because printed interval residuals depend on its scale."""
+    (d01, d02, d03, d12, d13, d23), big = m.int_form
+    g = ((0, d01, d02, d03), (d01, 0, d12, d13), (d02, d12, 0, d23), (d03, d13, d23, 0))
+    rows = [tuple(row[j - 1] - row[k - 1] for row in g) for k, j in _FACE_EDGE_DIRS[i]]
+    comps = G.null_direction(rows + [(1, 1, 1, 1)]).tuple()
+    scale = big * big
+    return G.TetraDirection(*(Q(c, scale) for c in comps))
 
 
 def face_normal_line(e: EdgeLengths, i: int, p_i: G.TetraPoint) -> G.TetraLine:

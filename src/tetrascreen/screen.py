@@ -1,10 +1,11 @@
 """Screening engine: run (family x center x property) matrices over seeded
 random instances, and hunt for counterexamples.  Each cell has one
-evaluation path: exact rationals for rational-only centers, and for the
-others intervals whose precision doubles up to a cap.  A screen builds
-one `PairContext` per (instance, center): the face points, the central
-shape and the space relations are evaluated once per evaluation mode and
-shared by all the pair's properties, then dropped with the pair.
+evaluation path: exact rationals for rational-only centers at an integer
+(or no) exponent r, and for the others intervals whose precision doubles
+up to a cap.  A screen builds one `PairContext` per (instance, center):
+the face points, the central shape and the space relations are evaluated
+once per evaluation mode and shared by all the pair's properties, then
+dropped with the pair.
 
 A cell verdict of "confirmed (exact, n)" means the property vanished in
 exact rational arithmetic on every instance — randomized-identity
@@ -37,9 +38,26 @@ from .tetrahedron import (
 )
 
 
+_PIECE_DIGITS = 1000
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def _fmt_int(n: int) -> str:
+    """Decimal digits of n.  str() refuses ints beyond the interpreter's
+    digit limit (4300 by default), so long ones are converted in pieces."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    return sign + str(n) + "".join(reversed(pieces))
+
+
 def _fmt_q(q) -> str:
     n, d = numden(q)
-    return f"{n}/{d}" if d != 1 else str(n)
+    return f"{_fmt_int(n)}/{_fmt_int(d)}" if d != 1 else _fmt_int(n)
 
 
 def _fmt_scalar(x) -> str:
@@ -197,15 +215,18 @@ class PairContext:
 def evaluate_cell_on_instance(e: EdgeLengths, entry, r, prop: P.PropertyId,
                               precision_cap: int = S.DEFAULT_BITS_CAP,
                               context: PairContext | None = None) -> P.Verdict:
-    """One (instance, center, property) evaluation: exact for rational-only
-    centers, else intervals whose precision doubles up to `precision_cap`
-    while a comparison stays undecided.  `context` is the pair's shared
-    work; without one, a fresh context for `prop` alone is used."""
+    """One (instance, center, property) evaluation: exact for a rational-only
+    center unless it takes a fractional power r of the sides, else
+    intervals whose precision doubles up to `precision_cap` while a
+    comparison stays undecided.  `context` is the pair's shared work;
+    without one, a fresh context for `prop` alone is used."""
     if context is None:
         context = PairContext(e, entry, r, (prop,))
+    exact = entry.rational_only and not (
+        entry.takes_r and r is not None and Q(r).denominator != 1)
     bits = S.DEFAULT_BITS
     while True:
-        mode = EvalMode() if entry.rational_only else EvalMode.interval(bits)
+        mode = EvalMode() if exact else EvalMode.interval(bits)
         try:
             pts, memo = context.at(mode)
             return P.check_property(e, pts, prop, mode, memo)

@@ -158,11 +158,6 @@ class EdgeLengths:
         return EdgeLengths.from_json_dict(json.loads(text))
 
 
-def validate(e: EdgeLengths) -> str | None:
-    """None when valid, else a human-readable reason."""
-    return e.validity_reason()
-
-
 # ---------------------------------------------------------------------
 # family predicates
 

@@ -221,8 +221,8 @@ def _holds(prop, at=None, **payload):
 
 def _ruled(inst, pts):
     """Cell kind: the cevians rule a quadric (or concur with the spear
-    identity exact)."""
-    v = P.check_hyperbolic(inst, pts)
+    identity exact).  It reads no hyperboloid center, so none is built."""
+    v = P.check_hyperbolic(inst, pts, with_center=False)
     return _verdict_ok_hyperbolic(v), v.status
 
 

@@ -68,9 +68,6 @@ class TriangleSides:
         a2, b2, c2 = self.a ** 2, self.b ** 2, self.c ** 2
         return (2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 ** 2 - b2 ** 2 - c2 ** 2) / 16
 
-    def area(self, bits: int = S.DEFAULT_BITS):
-        return S.sqrt(self.area_squared(), bits)
-
 
 def projective_eq(u, v) -> bool:
     """Two coordinate tuples name the same projective point iff all 2x2

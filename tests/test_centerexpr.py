@@ -45,6 +45,14 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             CE.parse_text("a^b")
 
+    def test_exponents_are_bounded(self):
+        bound = CE.MAX_EXPONENT
+        for text in (f"a^{bound}", f"a^-{bound}", f"a^(-{bound})"):
+            CE.parse_text(text)
+        for text in (f"a^{bound + 1}", f"a^(-{bound + 1})", "a^-1000000000", "a^5000"):
+            with pytest.raises(ExprSyntaxError, match="out of range"):
+                CE.parse_text(text)
+
     def test_round_trip_through_text(self):
         for text in ("b+c-a", "a^r*(b^2+c^2-a^2)", "1/(a*(b+c-2*a))"):
             tree = CE.parse_text(text)

@@ -148,6 +148,9 @@ class TestScreenInput:
         ["--properties", "1,,2"],
         ["--centers", "POW:abc"],
         ["--centers", "POW:1/0"],
+        ["--centers", "POW:5000"],
+        ["--centers", "POW:-65"],
+        ["--centers", "CEV1:1/65"],
         ["--precision-bits", "0"],
         ["--precision-bits", "-8"],
         ["--jobs", "0"],
@@ -229,6 +232,35 @@ class TestScreenInput:
         err = capsys.readouterr().err
         seconds = float(err.split("screen finished in ")[1].split("s ")[0])
         assert seconds < 100.0
+
+    @pytest.mark.parametrize("text", ["a^-1000000000", "a^5000", "(b+c)^65"])
+    def test_out_of_range_catalog_exponent_is_refused_when_parsed(
+            self, text, tmp_path, capsys, monkeypatch):
+        from tetrascreen import centerexpr as CE
+
+        evaluated = []
+        monkeypatch.setattr(CE, "eval_tree", lambda *a, **k: evaluated.append(a))
+        cat = tmp_path / "extra.txt"
+        cat.write_text(f"U1 | areal | {text} | no\n")
+        assert main(["screen", "--family", "general", "--centers", "U1", "--properties", "1",
+                     "-n", "1", "--catalog", str(cat)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of range" in err
+        assert evaluated == []
+
+    def test_witness_formatting_is_total(self):
+        # past str()'s 4300-digit limit for ints
+        from tetrascreen import scalar as S
+        from tetrascreen._backend import Q
+        from tetrascreen.screen import _fmt_q, _fmt_scalar
+
+        digits = "1" + "0" * 4999 + "7"
+        assert _fmt_q(Q(10 ** 5000 + 7)) == digits
+        assert _fmt_q(Q(-(10 ** 5000 + 7), 3)) == f"-{digits}/3"
+        assert _fmt_q(Q(3, 10 ** 5000 + 7)) == f"3/{digits}"
+        assert _fmt_q(Q(-12345, 7)) == "-12345/7"
+        big = Q(10 ** 5000 + 7)
+        assert _fmt_scalar(S.Interval(big, big, 64, _rounded=True)) == f"[{digits}, {digits}]@64b"
 
     def test_properties_by_name_and_number(self, tmp_path):
         out = tmp_path / "r.json"

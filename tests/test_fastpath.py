@@ -1,24 +1,33 @@
 """Differential tests of the integer fast paths against the Fraction code
-they replace: compiled center programs against the tree walk, and the
-cached integer form of a point against the normalize-then-subtract
-formulas."""
+they replace: compiled center programs against the tree walk, the cached
+integer form of a point against the normalize-then-subtract formulas, and
+the division-free line, plane and Cayley-Menger kernel against the
+Fraction constructions kept in `tests/oracles.py`."""
 
 import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tetrascreen import centerexpr as CE
 from tetrascreen import geometry as G
+from tetrascreen import properties as P
 from tetrascreen import scalar as S
 from tetrascreen import triangle as T
 from tetrascreen._backend import Q
 from tetrascreen.catalog import builtin_catalog
 from tetrascreen.cli import main
-from tetrascreen.errors import PointAtInfinity, TetraScreenError
+from tetrascreen.errors import (
+    InvalidTetrahedron,
+    LineParallelToPlane,
+    ParallelDirections,
+    PointAtInfinity,
+    TetraScreenError,
+)
 from tetrascreen.tetrahedron import TetraFamily, generate
+from tests import oracles
 
 R_VALUES = (-2, -1, 0, 1, 2, 3)
 
@@ -112,9 +121,11 @@ def test_tree_walk_keeps_k_entries_and_fractional_r():
 
 
 # screens through the tree walk (a K entry, fractional r) and the compiled
-# X7; digests recorded before the integer fast paths existed
+# X7; digest recorded before the integer fast paths existed, then re-pinned
+# when CEV1:1/2 moved from exact mode (an error in all 13 cells) to
+# intervals, a change a structural diff showed confined to those cells
 _FALLBACK_DIGESTS = {
-    "": "552f7c2d11635d1697042ec3793bc80c49824535ea7dbbc10893b10c0a8ad829",
+    "": "7821c5bf7d912fbe0f006af2f2a2327385bd9c71b94b440fb9c150642000183c",
 }
 
 
@@ -131,6 +142,13 @@ def test_fallback_screens_are_unchanged(tmp_path, capsys, policy):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _FALLBACK_DIGESTS[policy]
     cells = {(c["center"], c["property"]): c for c in json.loads(out.read_text())["cells"]}
     assert cells["KX", 1]["summary"].startswith("confirmed (exact")
+    # a rational-only center at a fractional r runs on intervals: no cell
+    # errors with "1/2 power is irrational here"
+    cev1 = {p: cells["CEV1:1/2", p] for p in range(1, 14)}
+    assert all(not c["errors"] and "error" not in c["tally"] for c in cev1.values())
+    assert {p for p, c in cev1.items() if c["summary"].startswith("fails")} == \
+        {3, 4, 5, 6, 7, 8, 9, 11, 12, 13}
+    assert {p for p, c in cev1.items() if c["summary"] == "undecided"} == {1, 2, 10}
 
 
 # --- integer form of points --------------------------------------------
@@ -199,3 +217,78 @@ def test_sides_enter_programs_over_their_common_denominator():
     assert sides.int_form == (9, 10, 12, 12)
     with pytest.raises(TetraScreenError, match=r"triangle inequality fails for \(1/2, 1/3, 1/6\)"):
         T.TriangleSides(Q(1, 2), Q(1, 3), Q(1, 6))
+
+
+# --- the division-free line, plane and metric kernel -----------------------
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
+
+directions = st.tuples(rationals, rationals, rationals).filter(any).map(
+    lambda c: G.TetraDirection(c[0], c[1], c[2], -(c[0] + c[1] + c[2])))
+lines = st.builds(G.TetraLine, points.filter(lambda p: p.coord_sum() != 0).map(
+    lambda p: p.normalized()), directions)
+
+
+@DIFFERENTIAL
+@given(metrics)
+@example(G.EdgeMetric(1, 1, 1, 1, 1, 1))
+@example(G.EdgeMetric(9, 16, 25, 9, 16, 25))   # flat: 0
+@example(G.EdgeMetric(1, 1, 1, 1, 1, 9))       # a face violates the triangle inequality
+def test_cayley_menger_matches_the_cofactor_expansion(m):
+    got = m.cayley_menger()
+    assert type(got) is Q and got == oracles.cayley_menger_cofactors(m)
+
+
+@DIFFERENTIAL
+@given(lines, lines, lines)
+def test_hyperboloid_center_matches_the_fraction_construction(l1, l2, l3):
+    got = _outcome(lambda: P.hyperboloid_center([l1, l2, l3]))
+    assert got == _outcome(lambda: oracles.hyperboloid_center_fractions([l1, l2, l3]))
+    if isinstance(got, G.TetraPoint):
+        assert got.coord_sum() == 1
+
+
+@DIFFERENTIAL
+@given(lines, lines, lines, rationals.filter(bool), rationals.filter(bool))
+def test_hyperboloid_center_raises_as_before_on_degenerate_triples(l1, l2, l3, lam, mu):
+    d1, d2, d3 = l1.direction.tuple(), l2.direction.tuple(), l3.direction.tuple()
+    assume(any(G.cofactors_of_rows([d1, d2, d3])))  # independent directions
+    combo = tuple(lam * a + mu * b for a, b in zip(d1, d2))
+    cases = [
+        # L2 parallel to L1
+        (ParallelDirections, "^the direction is parallel to the line$",
+         [l1, G.TetraLine(l2.base, G.TetraDirection(*(lam * a for a in d1))), l3]),
+        # L3 parallel to the plane through L1 parallel to L2
+        (LineParallelToPlane, "^the line is parallel to \\(or inside\\) the plane$",
+         [l1, l2, G.TetraLine(l3.base, G.TetraDirection(*combo))]),
+        # a base at infinity in the span of the directions: no plane
+        (InvalidTetrahedron, "^zero plane$",
+         [G.TetraLine(G.TetraPoint(*combo), l1.direction), l2, l3]),
+        # a base at infinity off that span: the plane at infinity
+        (InvalidTetrahedron, "^all coefficients equal",
+         [G.TetraLine(G.TetraPoint(*d3), l1.direction), l2, l3]),
+    ]
+    for error, message, triple in cases:
+        with pytest.raises(error, match=message):
+            P.hyperboloid_center(triple)
+        assert _outcome(lambda: P.hyperboloid_center(triple)) == \
+            _outcome(lambda: oracles.hyperboloid_center_fractions(triple))
+
+
+@DIFFERENTIAL
+@given(metrics)
+def test_face_normals_match_the_fraction_null_vector(m):
+    for i in (1, 2, 3, 4):
+        got = _outcome(lambda: P.face_normal_direction(m, i))
+        ref = _outcome(lambda: oracles.face_normal_fractions(m, i))
+        # equal, not only proportional: printed interval residuals of
+        # property 5 depend on the direction's scale
+        assert got == ref
+        if isinstance(got, tuple):
+            continue
+        assert got.proj_eq(ref)
+        face = [v for k, v in enumerate(G.VERTICES, start=1) if k != i]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                edge = G.line_through(face[a], face[b]).direction
+                assert m.perp_form(got, edge) == 0

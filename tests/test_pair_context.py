@@ -9,7 +9,12 @@ from tetrascreen import properties as P
 from tetrascreen import screen as SC
 from tetrascreen._backend import Q
 from tetrascreen.catalog import Catalog, CatalogEntry, builtin_catalog
-from tetrascreen.errors import CoplanarPoints, EvaluationSingular, TetraScreenError
+from tetrascreen.errors import (
+    CoplanarPoints,
+    EvaluationSingular,
+    IrrationalInExactMode,
+    TetraScreenError,
+)
 from tetrascreen.tetrahedron import TetraFamily, generate
 from tetrascreen.triangle import EXACT
 
@@ -67,9 +72,19 @@ def test_shared_context_matches_fresh_evaluation(family, seed, count, center, ca
 
 def test_the_differential_cases_reach_each_kept_error():
     catalog = builtin_catalog()
+    # a fractional r runs on intervals: CEV1:1/2 reaches verdicts, including
+    # the interval escalation to the cap, and no engine error
     cev1 = {outcome(lambda: SC.evaluate_cell_on_instance(inst, catalog["CEV1"], Q(1, 2), p))[0]
             for inst in generate(TetraFamily.CIRCUMSCRIPTIBLE, 3, 2) for p in ALL}
-    assert cev1 == {"IrrationalInExactMode"}
+    assert cev1 == {"fails", "undecided"}
+    # no screen cell raises IrrationalInExactMode any more (an integer power
+    # of rational sides is rational, and K entries run on intervals); exact
+    # points at r = 1/2 still raise it, and the context keeps and re-raises it
+    inst = generate(TetraFamily.CIRCUMSCRIPTIBLE, 3, 1)[0]
+    context = SC.PairContext(inst, catalog["CEV1"], Q(1, 2), ALL)
+    for _ in range(2):
+        with pytest.raises(IrrationalInExactMode, match="^1/2 power is irrational here$"):
+            context.at(EXACT)
     inst = generate(TetraFamily.ISOSCELES, 33, 1)[0]
     context = SC.PairContext(inst, catalog["Z4"], Q(-1), ALL)
     with pytest.raises(EvaluationSingular):

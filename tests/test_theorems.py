@@ -2,10 +2,12 @@ from collections import Counter
 
 import pytest
 
+from tetrascreen import geometry as G
 from tetrascreen import properties as P
 from tetrascreen import theorems as TH
 from tetrascreen.catalog import Catalog
 from tetrascreen.errors import EvaluationSingular
+from tetrascreen.tetrahedron import TetraFamily, face_points, generate
 
 
 def test_registry_has_71_distinct_cases():
@@ -62,3 +64,58 @@ def test_one_verify_run_generates_each_family_once(monkeypatch):
         alone = TH.get_case(entry["id"]).run(n=4, seed=3)
         assert (alone.status, alone.details, alone.notes) == (
             entry["status"], entry["details"], entry["notes"])
+
+
+def _counting(monkeypatch, module, name, replacement=None):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return (replacement or real)(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ruled_cases_build_no_hyperboloid_center(monkeypatch):
+    centers = _counting(monkeypatch, P, "hyperboloid_center")
+    for cid in ("T6d", "T7.2a"):
+        assert TH.get_case(cid).run(n=2, seed=1).status == TH.PASS
+    assert centers == []
+
+
+def test_t53_builds_centers_and_checks_their_line_order(monkeypatch):
+    centers = _counting(monkeypatch, P, "hyperboloid_center")
+    assert TH.get_case("T5.3").run(n=1, seed=1).status == TH.PASS
+    # per exact hyperbolic r: the payload center, then six line orders
+    assert centers and len(centers) % 7 == 0
+    real = P.hyperboloid_center
+    monkeypatch.undo()
+    seen = []
+
+    def order_dependent(lines):
+        seen.append(lines)
+        return real(lines) if len(seen) == 1 else G.VERTICES[0]
+
+    monkeypatch.setattr(P, "hyperboloid_center", order_dependent)
+    res = TH.get_case("T5.3").run(n=1, seed=1)
+    assert res.status == TH.FAIL and "not permutation-invariant" in str(res.details)
+
+
+def test_the_center_changes_no_other_part_of_the_hyperbolic_verdict(catalog):
+    seen = Counter()
+    for family, ids in ((TetraFamily.ISOSCELES, ("X2", "X3", "X7", "X11")),
+                        (TetraFamily.GENERAL, ("X2", "X7", "X9"))):
+        for inst in generate(family, 5, 3):
+            for cid in ids:
+                pts = face_points(inst, catalog[cid])
+                with_center = P.check_hyperbolic(inst, pts)
+                without = P.check_hyperbolic(inst, pts, with_center=False)
+                assert (without.status, without.witness) == (with_center.status,
+                                                              with_center.witness)
+                assert without.payload == {k: v for k, v in with_center.payload.items()
+                                           if k != "center"}
+                assert "center" not in without.payload
+                seen[with_center.status, "center" in with_center.payload] += 1
+    assert {(P.HOLDS_EXACT, True), (P.FAILS, False), (P.SKIPPED, False)} <= set(seen)
