@@ -222,8 +222,9 @@ class TetraDirection:
     def __post_init__(self):
         if _proj_zero(self.tuple()):
             raise InvalidTetrahedron("zero direction")
+        # an interval sum can never certify zero; refuse only a provable nonzero
         s = self.k + self.l + self.m + self.n
-        if S.sign(s) != 0:
+        if S.is_zero(s) == S.NONZERO:
             raise InvalidTetrahedron(f"direction components must sum to 0, got {s}")
 
     def proj_eq(self, other: "TetraDirection") -> bool:

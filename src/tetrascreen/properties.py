@@ -59,6 +59,7 @@ HOLDS_NUMERIC = "holds_numeric"
 FAILS = "fails"
 UNDECIDED = "undecided"
 SKIPPED = "skipped"
+ERROR = "error"  # a screen cell whose evaluation raised an engine error
 
 
 @dataclass

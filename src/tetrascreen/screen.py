@@ -7,6 +7,11 @@ the face points, the central shape and the space relations are evaluated
 once per evaluation mode and shared by all the pair's properties, then
 dropped with the pair.
 
+Screens and hunts share one cell loop, `_visit_cells`, which hands each
+cell's `cell_outcome` (a `P.Verdict`, or a `Raised` skipped or error) to
+a visit: a screen tallies every outcome, a hunt is a stop rule that lists
+an errored pair under its `errors` key, never as tried or degenerate.
+
 A cell verdict of "confirmed (exact, n)" means the property vanished in
 exact rational arithmetic on every instance — randomized-identity
 evidence, reported as confirmation, never as proof.  A single provably
@@ -16,7 +21,12 @@ rational instance.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import random
+import time
+import zlib
 from dataclasses import dataclass, field
 
 from . import properties as P
@@ -34,8 +44,10 @@ from .tetrahedron import (
     EvalMode,
     TetraFamily,
     face_points,
+    family_predicate,
     generate,
 )
+from .triangle import TriangleSides
 
 
 _PIECE_DIGITS = 1000
@@ -98,6 +110,8 @@ class ScreenPlan:
             entry = self.catalog[spec.id]  # raises UnknownId
             if entry.takes_r and spec.r is None:
                 raise UnknownId(f"center {spec.id} requires a value of r (use ID:r)")
+            if not entry.takes_r and spec.r is not None:
+                raise UnknownId(f"center {spec.id} takes no r (use {spec.id} alone)")
 
 
 @dataclass
@@ -109,8 +123,21 @@ class CellResult:
     errors: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def record(self, status: str):
-        self.tally[status] = self.tally.get(status, 0) + 1
+    def record(self, idx: int, inst: EdgeLengths, outcome):
+        """Tally the outcome on instance `idx`; keep the first three errors
+        and witnesses, and each distinct note."""
+        self.tally[outcome.status] = self.tally.get(outcome.status, 0) + 1
+        if isinstance(outcome, Raised):
+            if len(self.errors) < 3:
+                self.errors.append({"instance": idx, "error": outcome.message})
+            return
+        if outcome.status == P.FAILS and len(self.witnesses) < 3:
+            witness = {"instance_index": idx, "instance": inst.to_json_dict()}
+            for k, v in outcome.witness.items():
+                witness[k] = _fmt_scalar(v) if k == "residual" else v
+            self.witnesses.append(witness)
+        if outcome.note and outcome.note not in self.notes:
+            self.notes.append(outcome.note)
 
     def summary(self) -> str:
         n = sum(self.tally.values())
@@ -155,32 +182,24 @@ class ScreenReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
-    def to_csv(self) -> str:
+    def _grid(self):
+        """The properties, and per center its row of cell summaries."""
         props = sorted({c.property for c in self.cells})
-        centers = sorted({c.center for c in self.cells})
-        index = {(c.center, c.property): c for c in self.cells}
+        index = {(c.center, c.property): c.summary() for c in self.cells}
+        return props, [[ctr] + [index.get((ctr, p), "") for p in props]
+                       for ctr in sorted({c.center for c in self.cells})]
+
+    def to_csv(self) -> str:
+        props, rows = self._grid()
         lines = ["center," + ",".join(f"P{int(p)}" for p in props)]
-        for ctr in centers:
-            row = [ctr]
-            for p in props:
-                cell = index.get((ctr, p))
-                row.append("" if cell is None else cell.summary().replace(",", ";"))
-            lines.append(",".join(row))
+        lines += [",".join(s.replace(",", ";") for s in row) for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        props = sorted({c.property for c in self.cells})
-        centers = sorted({c.center for c in self.cells})
-        index = {(c.center, c.property): c for c in self.cells}
-        head = "| center | " + " | ".join(P.PropertyId(p).name for p in props) + " |"
-        sep = "|" + "---|" * (len(props) + 1)
-        lines = [head, sep]
-        for ctr in centers:
-            row = [ctr]
-            for p in props:
-                cell = index.get((ctr, p))
-                row.append("" if cell is None else cell.summary())
-            lines.append("| " + " | ".join(row) + " |")
+        props, rows = self._grid()
+        lines = ["| center | " + " | ".join(P.PropertyId(p).name for p in props) + " |",
+                 "|" + "---|" * (len(props) + 1)]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -237,48 +256,58 @@ def evaluate_cell_on_instance(e: EdgeLengths, entry, r, prop: P.PropertyId,
             bits = min(2 * bits, precision_cap)
 
 
+@dataclass(frozen=True)
+class Raised:
+    """A cell that raised instead of returning a verdict: `skipped` for
+    EvaluationSingular (no finite point here), `error` for the others."""
+    status: str
+    message: str
+    holds = False
+
+
+def cell_outcome(e: EdgeLengths, entry, r, prop: P.PropertyId,
+                 precision_cap: int = S.DEFAULT_BITS_CAP,
+                 context: PairContext | None = None):
+    """The `P.Verdict` of one cell, or the `Raised` engine error in its
+    place.  Any other exception propagates."""
+    try:
+        return evaluate_cell_on_instance(e, entry, r, prop, precision_cap, context)
+    except TetraScreenError as exc:
+        exc.__traceback__ = None  # the pair's memo keeps exc: free its frames now
+        return Raised(P.SKIPPED if isinstance(exc, EvaluationSingular) else P.ERROR, str(exc))
+
+
+def _visit_cells(catalog, specs, props, instances, visit,
+                 precision_cap=S.DEFAULT_BITS_CAP) -> bool:
+    """Call `visit(instance index, instance, spec, property, outcome)` on
+    each cell, instance by instance, with one `PairContext` per (instance,
+    spec), until a visit returns True (its stop rule); return whether one
+    did.  `instances` may be lazy, so a stop draws no further instance."""
+    entries = [(spec, catalog[spec.id]) for spec in specs]
+    for idx, inst in enumerate(instances):
+        for spec, entry in entries:
+            context = PairContext(inst, entry, spec.r, props)
+            for prop in props:
+                if visit(idx, inst, spec, prop, cell_outcome(inst, entry, spec.r, prop,
+                                                             precision_cap, context)):
+                    return True
+            del context  # not kept while the next instance is drawn
+    return False
+
+
 def run_screen(plan: ScreenPlan) -> ScreenReport:
     """Evaluate the full matrix; deterministic for a given plan+seed."""
     return run_screen_on_instances(plan, generate(plan.family, plan.seed, plan.count))
 
 
 def run_screen_on_instances(plan: ScreenPlan, instances) -> ScreenReport:
-    import time
-
     t0 = time.monotonic()
-    cells = {}
-    for spec in plan.centers:
-        entry = plan.catalog[spec.id]
-        for prop in plan.properties:
-            cells[(spec.label(), prop)] = CellResult(spec.label(), int(prop))
-    for idx, inst in enumerate(instances):
-        for spec in plan.centers:
-            entry = plan.catalog[spec.id]
-            context = PairContext(inst, entry, spec.r, plan.properties)
-            for prop in plan.properties:
-                cell = cells[(spec.label(), prop)]
-                try:
-                    verdict = evaluate_cell_on_instance(
-                        inst, entry, spec.r, prop, plan.precision_cap, context)
-                except EvaluationSingular as exc:
-                    cell.record(P.SKIPPED)
-                    if len(cell.errors) < 3:
-                        cell.errors.append({"instance": idx, "error": str(exc)})
-                    continue
-                except TetraScreenError as exc:
-                    cell.record("error")
-                    if len(cell.errors) < 3:
-                        cell.errors.append({"instance": idx, "error": str(exc)})
-                    continue
-                cell.record(verdict.status)
-                if verdict.status == P.FAILS and len(cell.witnesses) < 3:
-                    witness = {"instance_index": idx,
-                               "instance": inst.to_json_dict()}
-                    for k, v in verdict.witness.items():
-                        witness[k] = _fmt_scalar(v) if k == "residual" else v
-                    cell.witnesses.append(witness)
-                if verdict.note and verdict.note not in cell.notes:
-                    cell.notes.append(verdict.note)
+    cells = {(spec.label(), prop): CellResult(spec.label(), int(prop))
+             for spec in plan.centers for prop in plan.properties}
+    _visit_cells(plan.catalog, plan.centers, plan.properties, instances,
+                 lambda idx, inst, spec, prop, outcome:
+                 cells[(spec.label(), prop)].record(idx, inst, outcome),
+                 plan.precision_cap)
     plan_echo = {
         "family": plan.family.value,
         "centers": [s.label() for s in plan.centers],
@@ -296,60 +325,31 @@ def run_screen_on_instances(plan: ScreenPlan, instances) -> ScreenReport:
 # counterexample hunting
 
 
-def _power_exponent(entry, r) -> object | None:
+def _power_exponent(entry, r) -> int | None:
     """The integer exponent p when the entry is projectively the power
-    point a^p (trilinear), else None.  Decided exactly by factor matching
-    on two prime-sided triangles."""
-    from .triangle import TriangleSides
-
-    first_p = None
+    point a^p (trilinear), else None.  Decided exactly on two prime-sided
+    triangles: the trilinear ratios must be (x/y)^p and (y/z)^p."""
+    exponents = set()
     for (x, y, z) in ((3, 5, 7), (7, 11, 13)):
         try:
-            tri = entry.areal_on(TriangleSides(Q(x), Q(y), Q(z)), r=r)
+            a, b, c = entry.areal_on(TriangleSides(Q(x), Q(y), Q(z)), r=r).tuple()
         except TetraScreenError:
             return None
-        a, b, c = tri.tuple()
         if not all(S.is_exact(v) and v != 0 for v in (a, b, c)):
             return None
-        # trilinear alpha/beta must equal (x/y)^p
-        alpha, beta = Q(a) / x, Q(b) / y
-        v = alpha / beta
-        n, d = numden(v)
+        alpha, beta, gamma = Q(a) / x, Q(b) / y, Q(c) / z
+        n, d = numden(alpha / beta)
         if n < 0:
             return None
-        base_n, base_d = x, y
-        p = 0
-        if n != d:
-            # p > 0: v = (x/y)^p, p < 0: v = (y/x)^(-p)
-            for sign in (1, -1):
-                bn, bd = (base_n, base_d) if sign > 0 else (base_d, base_n)
-                k = 0
-                nn, dd = n, d
-                while nn % bn == 0 and dd % bd == 0:
-                    nn //= bn
-                    dd //= bd
-                    k += 1
-                if nn == 1 and dd == 1 and k > 0:
-                    p = sign * k
-                    break
-            else:
-                return None
-        if v != Q(base_n, base_d) ** p:
+        # the only candidate, checked exactly below
+        p = round((math.log(n) - math.log(d)) / (math.log(x) - math.log(y)))
+        if alpha / beta != Q(x, y) ** p or beta / gamma != Q(y, z) ** p:
             return None
-        gamma = Q(c) / z
-        if beta / gamma != Q(y, z) ** p:
-            return None
-        if first_p is None:
-            first_p = p
-        elif p != first_p:
-            return None
-    return first_p
+        exponents.add(p)
+    return exponents.pop() if len(exponents) == 1 else None
 
 
 def _projectively_equal_entries(entry_a, r_a, entry_b, r_b, samples=5) -> bool:
-    from .triangle import TriangleSides
-    import random
-
     rng = random.Random(99)
     done = 0
     while done < samples:
@@ -368,16 +368,8 @@ def _projectively_equal_entries(entry_a, r_a, entry_b, r_b, samples=5) -> bool:
 
 def default_hunt_specs(catalog: Catalog) -> list:
     """Catalog entries instantiated for the falsification hunts."""
-    specs = []
-    for entry in catalog:
-        if not entry.rational_only:
-            continue
-        if entry.takes_r:
-            for r in (-2, -1, 0, 1, 2, 3):
-                specs.append(CenterSpec(entry.id, Q(r)))
-        else:
-            specs.append(CenterSpec(entry.id))
-    return specs
+    return [CenterSpec(entry.id, r) for entry in catalog if entry.rational_only
+            for r in (map(Q, (-2, -1, 0, 1, 2, 3)) if entry.takes_r else (None,))]
 
 
 HUNT_CLAIMS = (
@@ -399,10 +391,10 @@ def hunt_counterexample(claim: str, budget: int = 1000, seed: int = 0,
     catalog center fail the relevant property on some instance (success
     supports the uniqueness statement; a "survivor" would witness against
     it).  For the conjectures the hunt searches for counterexamples and
-    reports the exhausted budget when none is found.  A budget below 1, a
-    catalog without rational-only centers, or one whose every center is
-    excluded or degenerate would try nothing, so all three are refused.
-    """
+    reports the exhausted budget when none is found; engine errors go
+    under an `errors` key.  A budget below 1, a catalog without rational-
+    only centers, or one whose every center is excluded or degenerate
+    would try nothing, so all three are refused."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     catalog = builtin_catalog() if catalog is None else catalog
@@ -413,7 +405,8 @@ def hunt_counterexample(claim: str, budget: int = 1000, seed: int = 0,
                                 TetraFamily.ISOSCELES, _is_centroid_entry)
     if claim == "power-uniqueness":
         return _hunt_uniqueness(catalog, seed, budget, P.PropertyId.HYPERBOLIC,
-                                TetraFamily.GENERAL, _is_power_entry)
+                                TetraFamily.GENERAL,
+                                lambda e, r: _power_exponent(e, r) is not None)
     if claim == "planarity-impossibility":
         return _hunt_uniqueness(catalog, seed, budget, P.PropertyId.COPLANAR,
                                 TetraFamily.ISOSCELES, lambda e, r: False)
@@ -426,62 +419,69 @@ def _is_centroid_entry(entry, r) -> bool:
     return _projectively_equal_entries(entry, r, builtin_catalog()["X2"], None)
 
 
-def _is_power_entry(entry, r) -> bool:
-    return _power_exponent(entry, r) is not None
+def _errors(raised) -> dict:
+    """A hunt's `errors` entry from (spec, draw index, Raised) triples."""
+    return {"count": len(raised),
+            "first": [{"center": spec.label(), "draw": k, "error": out.message}
+                      for spec, k, out in raised[:3]]}
 
 
 def _hunt_uniqueness(catalog, seed, budget, prop, family, excluded) -> dict:
-    specs = default_hunt_specs(catalog)
-    refuted, excluded_specs, survivors = [], [], []
-    for spec in specs:
-        entry = catalog[spec.id]
-        if excluded(entry, spec.r):
+    """Per spec, draw up to `budget` instances and stop at the first that
+    refutes it.  A spec none of whose draws refutes it is degenerate on
+    the family when every draw raised EvaluationSingular; else one it
+    held on is a survivor, and one that raised an engine error is listed
+    under `errors`.  Survivors and errors leave the claim unsupported."""
+    refuted, excluded_specs, survivors, errors = [], [], [], []
+    singular, errored = 0, []
+
+    def refutes(k, inst, spec, _, outcome) -> bool:
+        nonlocal singular
+        if outcome.status == P.ERROR:
+            errored.append((spec, k, outcome))
+        elif isinstance(outcome, Raised):
+            singular += 1
+        elif outcome.status == P.FAILS or (  # a degenerate hyperboloid refutes too
+                prop is P.PropertyId.HYPERBOLIC and outcome.status == P.SKIPPED
+                and outcome.payload.get("identity_holds") is False):
+            refuted.append({"center": spec.label(), "instances_tried": k + 1,
+                            "instance": inst.to_json_dict()})
+            if outcome.status == P.SKIPPED:
+                refuted[-1]["note"] = "identity fails on a degenerate configuration"
+            return True
+        return False
+
+    for spec in default_hunt_specs(catalog):
+        if excluded(catalog[spec.id], spec.r):
             excluded_specs.append(spec.label())
             continue
-        found = None
-        evaluated = 0
-        for k in range(budget):
-            inst = generate(family, _spec_seed(seed, spec, k), 1)[0]
-            try:
-                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop)
-            except EvaluationSingular:
-                continue
-            except TetraScreenError:
-                continue
-            evaluated += 1
-            if verdict.status == P.FAILS:
-                found = {"center": spec.label(), "instances_tried": k + 1,
-                         "instance": inst.to_json_dict()}
-                break
-            if verdict.status == P.SKIPPED and prop is P.PropertyId.HYPERBOLIC \
-                    and verdict.payload.get("identity_holds") is False:
-                found = {"center": spec.label(), "instances_tried": k + 1,
-                         "instance": inst.to_json_dict(),
-                         "note": "identity fails on a degenerate configuration"}
-                break
-        if found:
-            refuted.append(found)
-        elif evaluated == 0:
+        singular, errored = 0, []
+        draws = (generate(family, _spec_seed(seed, spec, k), 1)[0] for k in range(budget))
+        if _visit_cells(catalog, [spec], [prop], draws, refutes):
+            continue
+        errors += errored
+        if singular + len(errored) < budget:
+            survivors.append(spec.label())
+        elif not errored:
             # the formula never defines a finite point here; not a center
             # of these faces, so it cannot witness against uniqueness
             excluded_specs.append(f"{spec.label()} (degenerate on this family)")
-        else:
-            survivors.append(spec.label())
-    if not refuted and not survivors:
+    if not refuted and not survivors and not errors:
         raise ValueError("every center of the catalog is excluded or degenerate "
                          "on this family, so the hunt would try none")
-    return {
-        "claim_supported": not survivors,
+    report = {
+        "claim_supported": not survivors and not errors,
         "refuted": refuted,
         "excluded": excluded_specs,
         "survivors": survivors,
         "budget": budget,
     }
+    if errors:
+        report["errors"] = _errors(errors)
+    return report
 
 
 def _spec_seed(seed, spec, k) -> int:
-    import zlib
-
     return zlib.adler32(f"{seed}|{spec.label()}|{k}".encode())
 
 
@@ -494,42 +494,41 @@ _CONJECTURE_PROPS = {
 
 
 def _hunt_conjecture(claim, catalog, seed, budget) -> dict:
-    """Search (instance, center) pairs for a counterexample to the
-    conjectured implication; for the similarity conjecture the center
-    must differ from the centroid, for the family conjectures the
-    reference must lie outside the conjectured family."""
+    """Attempt `budget` (instance, center) pairs, stopping at the first
+    counterexample to the conjectured implication: for the similarity
+    conjecture a center other than the centroid, for the family ones a
+    reference outside the family.  A pair that raised EvaluationSingular
+    counts as tried; one that raised another engine error goes to `errors`."""
     prop, excluded_family = _CONJECTURE_PROPS[claim]
     specs = default_hunt_specs(catalog)
     if claim == "conjecture-similar-centroid":
         specs = [s for s in specs if not _is_centroid_entry(catalog[s.id], s.r)]
     if not specs:
         raise ValueError(f"no center of the catalog can be tried for {claim}")
-    from .tetrahedron import family_predicate
+    draws = (generate(TetraFamily.GENERAL, _spec_seed(seed, CenterSpec(claim), k), 1)[0]
+             for k in itertools.count())
+    report = {"counterexample": None, "claim_supported": "exhausted", "budget": budget}
+    tried, errors = 0, []
 
-    tried = 0
-    k = 0
-    while tried < budget:
-        inst = generate(TetraFamily.GENERAL, _spec_seed(seed, CenterSpec(claim), k), 1)[0]
-        k += 1
-        for spec in specs:
-            if tried >= budget:
-                break
-            entry = catalog[spec.id]
+    def counterexample(k, inst, spec, _, outcome) -> bool:
+        nonlocal tried
+        if outcome.status == P.ERROR:
+            errors.append((spec, k, outcome))
+        else:
             tried += 1
-            try:
-                verdict = evaluate_cell_on_instance(inst, entry, spec.r, prop)
-            except TetraScreenError:
-                continue
-            if not verdict.holds:
-                continue
-            if excluded_family is not None and family_predicate(inst, excluded_family):
-                continue
-            if claim == "conjecture-central-regular":
-                all_eq = len({str(x) for x in inst.edges()}) == 1
-                if all_eq:
-                    continue
-            return {"counterexample": {"center": spec.label(),
-                                       "instance": inst.to_json_dict()},
-                    "claim_supported": False, "budget": budget, "tried": tried}
-    return {"counterexample": None, "claim_supported": "exhausted",
-            "budget": budget, "tried": tried}
+            if outcome.holds \
+                    and not (excluded_family is not None
+                             and family_predicate(inst, excluded_family)) \
+                    and not (claim == "conjecture-central-regular"
+                             and len({str(x) for x in inst.edges()}) == 1):
+                report.update(counterexample={"center": spec.label(),
+                                              "instance": inst.to_json_dict()},
+                              claim_supported=False)
+                return True
+        return tried + len(errors) == budget  # the budget stops the hunt too
+
+    _visit_cells(catalog, specs, [prop], draws, counterexample)
+    report["tried"] = tried
+    if errors:
+        report["errors"] = _errors(errors)
+    return report

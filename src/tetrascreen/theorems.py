@@ -441,6 +441,8 @@ def _t122(case, n, seed, catalog, pool):
                         n=len(res["refuted"]))
     result.details["survivors"] = res["survivors"]
     result.details["centers_refuted"] = len(res["refuted"])
+    if "errors" in res:
+        result.details["errors"] = res["errors"]
     return result
 
 

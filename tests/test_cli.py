@@ -167,6 +167,17 @@ class TestScreenInput:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("centers, message", [
+        ("X2:1/2", "center X2 takes no r"),
+        ("X7,X2:0", "center X2 takes no r"),
+        ("POW", "center POW requires a value of r"),
+    ])
+    def test_r_must_match_the_center(self, centers, message, capsys):
+        assert main(["screen", "--family", "general", "--centers", centers,
+                     "--properties", "1", "-n", "1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
     def test_prefilter_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["screen", "--family", "general", "--centers", "X2", "--properties", "1",

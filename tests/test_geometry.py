@@ -121,6 +121,18 @@ class TestLines:
         l = G.line_through(p, q)
         assert sum(l.direction.tuple()) == 0
 
+    def test_only_a_provably_nonzero_direction_sum_is_refused(self):
+        from tetrascreen.errors import InvalidTetrahedron
+
+        with pytest.raises(InvalidTetrahedron, match="sum to 0"):
+            G.TetraDirection(Q(1), Q(0), Q(0), Q(0))
+        with pytest.raises(InvalidTetrahedron, match="sum to 0"):
+            G.TetraDirection(*(S.Interval(Q(1, 8), Q(1, 4)) for _ in range(4)))
+        # an interval sum straddling zero is kept: it cannot certify zero
+        near = S.Interval(Q(-1, 3), Q(1, 2))
+        d = G.TetraDirection(near, S.Interval.point(Q(1)), S.Interval.point(Q(-1)), near)
+        assert S.is_zero(sum(d.tuple())) == S.UNDECIDED
+
     def test_identical_points_rejected(self):
         with pytest.raises(IdenticalPoints):
             G.line_through(A1, G.TetraPoint(Q(2), Q(0), Q(0), Q(0)))

@@ -98,9 +98,10 @@ def test_the_differential_cases_reach_each_kept_error():
                                         context=context).status == P.SKIPPED
 
 
-def test_a_k_entry_escalates_interval_precision(monkeypatch):
-    """The isosceles KM case above reaches the precision-doubling loop:
-    property 2 needs the face points at every bit count up to the cap."""
+def test_a_fractional_r_escalates_interval_precision(monkeypatch):
+    """The circumscriptible CEV1:1/2 case above reaches the
+    precision-doubling loop: property 1 needs the face points at every
+    bit count up to the cap."""
     bits = []
     real = SC.face_points
 
@@ -109,16 +110,27 @@ def test_a_k_entry_escalates_interval_precision(monkeypatch):
         return real(e, entry, r=r, mode=mode)
 
     monkeypatch.setattr(SC, "face_points", recording)
-    inst = generate(TetraFamily.ISOSCELES, 3, 1)[0]
-    v = SC.evaluate_cell_on_instance(inst, K_CATALOG["KM"], None, P.PropertyId.HYPERBOLIC)
+    inst = generate(TetraFamily.CIRCUMSCRIPTIBLE, 3, 1)[0]
+    cev1 = builtin_catalog()["CEV1"]
+    v = SC.evaluate_cell_on_instance(inst, cev1, Q(1, 2), P.PropertyId.CONCUR)
     assert v.status == P.UNDECIDED and bits == [128, 256, 512, 1024]
     # a shared context keeps the points of each bit count apart, and
     # builds each of them once
     bits.clear()
-    context = SC.PairContext(inst, K_CATALOG["KM"], None, ALL)
-    for prop in (P.PropertyId.HYPERBOLIC, P.PropertyId.CONCUR, P.PropertyId.HYPERBOLIC):
-        SC.evaluate_cell_on_instance(inst, K_CATALOG["KM"], None, prop, context=context)
+    context = SC.PairContext(inst, cev1, Q(1, 2), ALL)
+    for prop in (P.PropertyId.CONCUR, P.PropertyId.HYPERBOLIC, P.PropertyId.CONCUR):
+        SC.evaluate_cell_on_instance(inst, cev1, Q(1, 2), prop, context=context)
     assert bits == [128, 256, 512, 1024]
+
+
+def test_an_interval_direction_may_sum_to_an_undecided_zero():
+    """Each cevian of a K entry is an interval line whose direction sums to
+    an interval around zero; only a provably nonzero sum is refused, so the
+    hyperboloid center of KM's spear identity is built on intervals."""
+    statuses = [SC.evaluate_cell_on_instance(inst, K_CATALOG["KM"], None,
+                                             P.PropertyId.HYPERBOLIC).status
+                for inst in generate(TetraFamily.ISOSCELES, 3, 4)]
+    assert statuses == [P.HOLDS_NUMERIC] * 4
 
 
 def _counting(monkeypatch, module, name):

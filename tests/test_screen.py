@@ -28,6 +28,10 @@ class TestPlans:
         with pytest.raises(UnknownId):
             small_plan(centers=[SC.CenterSpec("POW")])
 
+    def test_center_without_parameter_refuses_r(self):
+        with pytest.raises(UnknownId, match="X2 takes no r"):
+            small_plan(centers=[SC.CenterSpec("X2", Q(1, 2))])
+
     def test_count_positive(self):
         with pytest.raises(ValueError):
             small_plan(count=0)
